@@ -99,8 +99,15 @@ pub fn sample(src: &impl PixelSource, u: f64, v: f64, filter: FilterMode, edge: 
             let y0 = py.floor() as i64;
             let fx = px - x0 as f64;
             let fy = py - y0 as f64;
+            // All four taps inside the frame: every edge mode resolves a
+            // tap to itself, so skip the clamp and `rem_euclid`.
+            let interior = x0 >= 0 && y0 >= 0 && x0 < w as i64 - 1 && y0 < h as i64 - 1;
             let fetch = |dx: i64, dy: i64| {
-                let (x, y) = edge.resolve(x0 + dx, y0 + dy, w, h);
+                let (x, y) = if interior {
+                    ((x0 + dx) as u32, (y0 + dy) as u32)
+                } else {
+                    edge.resolve(x0 + dx, y0 + dy, w, h)
+                };
                 src.pixel(x, y)
             };
             let p00 = fetch(0, 0);
@@ -227,7 +234,85 @@ mod tests {
         assert_eq!(f.len(), 1);
     }
 
+    /// Bilinear sampling with every tap resolved through
+    /// [`EdgeMode::resolve`]: the reference oracle for the interior fast
+    /// path of [`sample`].
+    fn bilinear_resolved(src: &ImageBuffer, u: f64, v: f64, edge: EdgeMode) -> Rgb {
+        let (w, h) = (src.width(), src.height());
+        let px = u * w as f64 - 0.5;
+        let py = v * h as f64 - 0.5;
+        let x0 = px.floor() as i64;
+        let y0 = py.floor() as i64;
+        let fx = px - x0 as f64;
+        let fy = py - y0 as f64;
+        let fetch = |dx: i64, dy: i64| {
+            let (x, y) = edge.resolve(x0 + dx, y0 + dy, w, h);
+            src.pixel(x, y)
+        };
+        let (p00, p10, p01, p11) = (fetch(0, 0), fetch(1, 0), fetch(0, 1), fetch(1, 1));
+        let blend = |c00: u8, c10: u8, c01: u8, c11: u8| -> u8 {
+            let top = c00 as f64 * (1.0 - fx) + c10 as f64 * fx;
+            let bot = c01 as f64 * (1.0 - fx) + c11 as f64 * fx;
+            (top * (1.0 - fy) + bot * fy).round().clamp(0.0, 255.0) as u8
+        };
+        Rgb::new(
+            blend(p00.r, p10.r, p01.r, p11.r),
+            blend(p00.g, p10.g, p01.g, p11.g),
+            blend(p00.b, p10.b, p01.b, p11.b),
+        )
+    }
+
+    fn hashed(w: u32, h: u32) -> ImageBuffer {
+        ImageBuffer::from_fn(w, h, |x, y| {
+            let k = x.wrapping_mul(2_654_435_761) ^ y.wrapping_mul(40_503) ^ (y * 97 + 13);
+            Rgb::new((k >> 3) as u8, (k >> 11) as u8, (k >> 19) as u8)
+        })
+    }
+
+    #[test]
+    fn bilinear_matches_resolve_path_at_seams_and_poles() {
+        // Coordinates around every texel boundary of the seam columns and
+        // pole rows, where taps straddle the frame edge.
+        for (w, h) in [(1, 1), (2, 3), (7, 5), (33, 17)] {
+            let img = hashed(w, h);
+            let edges = |n: u32| {
+                let n = n as f64;
+                [-0.3, -1e-9, 0.0, 0.2 / n, 0.5 / n, 0.9 / n, 1.0 / n, 1.5 / n, 0.5]
+                    .into_iter()
+                    .flat_map(move |t| [t, 1.0 - t])
+                    .collect::<Vec<f64>>()
+            };
+            for edge in [EdgeMode::Clamp, EdgeMode::WrapU] {
+                for &u in &edges(w) {
+                    for &v in &edges(h) {
+                        assert_eq!(
+                            sample(&img, u, v, FilterMode::Bilinear, edge),
+                            bilinear_resolved(&img, u, v, edge),
+                            "{w}x{h} {edge:?} at ({u}, {v})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_bilinear_matches_resolve_path(
+            w in 1u32..40,
+            h in 1u32..24,
+            u in -0.2f64..1.2,
+            v in -0.2f64..1.2,
+        ) {
+            let img = hashed(w, h);
+            for edge in [EdgeMode::Clamp, EdgeMode::WrapU] {
+                prop_assert_eq!(
+                    sample(&img, u, v, FilterMode::Bilinear, edge),
+                    bilinear_resolved(&img, u, v, edge)
+                );
+            }
+        }
+
         #[test]
         fn prop_sample_never_exceeds_source_range(u in 0.0f64..1.0, v in 0.0f64..1.0) {
             // A constant image must sample to exactly that constant.

@@ -128,11 +128,7 @@ impl Projection {
     /// direction — the inverse used for content generation and transcoding.
     pub fn frame_to_sphere(self, u: f64, v: f64) -> Vec3 {
         match self {
-            Projection::Erp => {
-                let lon = (u - 0.5) * std::f64::consts::TAU;
-                let lat = (0.5 - v) * std::f64::consts::PI;
-                SphericalCoord::new(evr_math::Radians(lon), evr_math::Radians(lat)).to_unit_vector()
-            }
+            Projection::Erp => erp_coord(u, v).to_unit_vector(),
             Projection::Cmp => {
                 let (face, fu, fv) = f2c(u, v);
                 cube_unproject(face, ls_cmp_inv(fu), ls_cmp_inv(fv))
@@ -163,6 +159,17 @@ impl fmt::Display for Projection {
         };
         f.write_str(s)
     }
+}
+
+/// ERP's inverse mapping, frame → sphere. The longitude is a function of
+/// `u` alone and the latitude of `v` alone (wrapped and clamped
+/// independently by [`SphericalCoord::new`]), which lets
+/// [`crate::transform::render_panorama`] evaluate each once per column
+/// and once per row.
+pub(crate) fn erp_coord(u: f64, v: f64) -> SphericalCoord {
+    let lon = (u - 0.5) * std::f64::consts::TAU;
+    let lat = (0.5 - v) * std::f64::consts::PI;
+    SphericalCoord::new(evr_math::Radians(lon), evr_math::Radians(lat))
 }
 
 /// `C2S`: Cartesian direction → spherical coordinate (shared by ERP and

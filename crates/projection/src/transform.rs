@@ -8,11 +8,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use evr_math::EulerAngles;
+use evr_math::{EulerAngles, Vec3};
 
 use crate::filter::{sample, EdgeMode, FilterMode};
 use crate::fov::{FovFrameMeta, FovSpec, Viewport};
-use crate::mapping::Projection;
+use crate::mapping::{erp_coord, Projection};
 use crate::par;
 use crate::perspective::PerspectiveUpdate;
 use crate::pixel::{ImageBuffer, PixelSource};
@@ -222,11 +222,32 @@ pub fn render_panorama(
     height: u32,
     mut shade: impl FnMut(evr_math::Vec3) -> crate::pixel::Rgb,
 ) -> ImageBuffer {
-    ImageBuffer::from_fn(width, height, |x, y| {
-        let u = (x as f64 + 0.5) / width as f64;
-        let v = (y as f64 + 0.5) / height as f64;
-        shade(projection.frame_to_sphere(u, v))
-    })
+    let u = |x: u32| (x as f64 + 0.5) / width as f64;
+    let v = |y: u32| (y as f64 + 0.5) / height as f64;
+    if projection != Projection::Erp {
+        return ImageBuffer::from_fn(width, height, |x, y| {
+            shade(projection.frame_to_sphere(u(x), v(y)))
+        });
+    }
+    // ERP is separable: longitude is fixed by the column and latitude by
+    // the row, so their sines and cosines are taken once per column and
+    // once per row. The products are those of
+    // `SphericalCoord::to_unit_vector`, so every direction is bit-identical
+    // to `frame_to_sphere` (DESIGN.md §13). Pixels are shaded in raster
+    // order, as `from_fn` would.
+    let lon_trig: Vec<(f64, f64)> = (0..width)
+        .map(|x| {
+            let lon = erp_coord(u(x), 0.5).lon.0;
+            (lon.sin(), lon.cos())
+        })
+        .collect();
+    let mut pixels = Vec::with_capacity(width as usize * height as usize);
+    for y in 0..height {
+        let lat = erp_coord(0.5, v(y)).lat.0;
+        let (sp, cp) = (lat.sin(), lat.cos());
+        pixels.extend(lon_trig.iter().map(|&(sl, cl)| shade(Vec3::new(cp * sl, sp, cp * cl))));
+    }
+    ImageBuffer::from_pixels(width, height, pixels)
 }
 
 /// Transcodes a panoramic frame between projections (e.g. ERP → EAC),
@@ -253,7 +274,6 @@ pub fn transcode(
 mod tests {
     use super::*;
     use crate::pixel::Rgb;
-    use evr_math::Vec3;
     use proptest::prelude::*;
 
     /// A panorama with a distinct colour per octant of the sphere — enough
@@ -411,6 +431,31 @@ mod tests {
             }
         }
         assert!(worst < 30, "worst channel-sum error {worst}");
+    }
+
+    #[test]
+    fn separable_erp_panorama_matches_per_pixel_inverse_mapping() {
+        // Every direction handed to the shader, in call order, must be the
+        // per-pixel `frame_to_sphere` result bit for bit.
+        for (w, h) in [(1, 1), (3, 1), (1, 5), (7, 5), (33, 17), (64, 31)] {
+            let mut seen = Vec::new();
+            render_panorama(Projection::Erp, w, h, |d| {
+                seen.push(d);
+                Rgb::BLACK
+            });
+            let mut expect = Vec::new();
+            for y in 0..h {
+                for x in 0..w {
+                    let u = (x as f64 + 0.5) / w as f64;
+                    let v = (y as f64 + 0.5) / h as f64;
+                    expect.push(Projection::Erp.frame_to_sphere(u, v));
+                }
+            }
+            let bits = |ds: &[Vec3]| -> Vec<[u64; 3]> {
+                ds.iter().map(|d| [d.x.to_bits(), d.y.to_bits(), d.z.to_bits()]).collect()
+            };
+            assert_eq!(bits(&seen), bits(&expect), "{w}x{h}");
+        }
     }
 
     proptest! {

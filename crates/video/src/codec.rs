@@ -15,8 +15,9 @@
 //! * **I (intra)** frames coded standalone; **P (predicted)** frames code
 //!   the residual against the previous *reconstructed* frame (drift-free,
 //!   like a real encoder);
-//! * a global-motion-compensated prediction loop (exhaustive-search
-//!   translational MC — the pan-heavy FOV videos depend on it);
+//! * a global-motion-compensated prediction loop (translational MC found
+//!   by exact pruned exhaustive search — the pan-heavy FOV videos depend
+//!   on it);
 //! * an entropy-cost model (bit-length coding of non-zero coefficients +
 //!   zero-block skip flags) that turns coefficients into byte sizes.
 //!
@@ -242,7 +243,25 @@ impl Encoder {
 
     /// Encodes one frame, updating the reconstruction reference.
     pub fn encode_frame(&mut self, image: &ImageBuffer) -> EncodedFrame {
-        let yuv = rgb_to_yuv420(image);
+        self.encode_yuv(rgb_to_yuv420(image), estimate_global_motion, code_plane)
+    }
+
+    /// Encodes one 4:2:0 frame with the given motion search and plane
+    /// coder — the fast kernels in production, their clamped reference
+    /// oracles in the differential tests.
+    fn encode_yuv(
+        &mut self,
+        yuv: Yuv420,
+        search: impl Fn(&Plane, &Plane, i64) -> (i16, i16),
+        code: impl Fn(
+            &Plane,
+            Option<&Plane>,
+            FrameKind,
+            u8,
+            bool,
+            (i64, i64),
+        ) -> (Plane, QuantizedPlane, u64),
+    ) -> EncodedFrame {
         let kind = if self.frames_since_intra == 0 || self.reference.is_none() {
             FrameKind::Intra
         } else {
@@ -251,16 +270,16 @@ impl Encoder {
         let q = self.config.quantizer;
         let reference = self.reference.take();
         let motion = match (kind, &reference) {
-            (FrameKind::Predicted, Some(r)) => estimate_global_motion(&yuv.y, &r.y, 8),
+            (FrameKind::Predicted, Some(r)) => search(&yuv.y, &r.y, 8),
             _ => (0, 0),
         };
         let mv = (motion.0 as i64, motion.1 as i64);
         let mv_chroma = (mv.0 / 2, mv.1 / 2);
-        let (ry, qy, by) = code_plane(&yuv.y, reference.as_ref().map(|r| &r.y), kind, q, true, mv);
+        let (ry, qy, by) = code(&yuv.y, reference.as_ref().map(|r| &r.y), kind, q, true, mv);
         let (rcb, qcb, bcb) =
-            code_plane(&yuv.cb, reference.as_ref().map(|r| &r.cb), kind, q, false, mv_chroma);
+            code(&yuv.cb, reference.as_ref().map(|r| &r.cb), kind, q, false, mv_chroma);
         let (rcr, qcr, bcr) =
-            code_plane(&yuv.cr, reference.as_ref().map(|r| &r.cr), kind, q, false, mv_chroma);
+            code(&yuv.cr, reference.as_ref().map(|r| &r.cr), kind, q, false, mv_chroma);
         self.reference = Some(Yuv420 { y: ry, cb: rcb, cr: rcr });
         self.frames_since_intra = (self.frames_since_intra + 1) % self.config.gop_len;
         EncodedFrame {
@@ -362,11 +381,82 @@ pub(crate) fn quant_step(q: u8, u: usize, v: usize, is_luma: bool) -> f64 {
     base * (1.0 + 0.45 * (u + v) as f64)
 }
 
+/// Quantisation steps of one plane's 8×8 block, indexed `v · 8 + u`:
+/// [`quant_step`] evaluated once per plane rather than once per
+/// coefficient.
+fn quant_steps(q: u8, is_luma: bool) -> [f64; 64] {
+    std::array::from_fn(|idx| quant_step(q, idx % 8, idx / 8, is_luma))
+}
+
 /// Estimates the global motion vector between `cur` and `reference` by
-/// exhaustive search over `±range` luma pixels, minimising the sum of
-/// absolute differences on a 2×-subsampled grid. Returns the vector
-/// pointing into the reference (`pred(x, y) = ref(x + mvx, y + mvy)`).
+/// exact pruned exhaustive search over `±range` luma pixels, minimising
+/// the sum of absolute differences (plus a bias towards zero motion) on
+/// a 2×-subsampled grid. Returns the vector pointing into the reference
+/// (`pred(x, y) = ref(x + mvx, y + mvy)`); ties go to the first candidate
+/// in raster order.
+///
+/// The result is the one [`estimate_global_motion_clamped`] returns, bit
+/// for bit (DESIGN.md §13). For `|d| ≤ range` the window
+/// `[range, size − range)` never leaves the plane, so samples index
+/// directly. A candidate's cost only grows row by row, so it stops once
+/// the cost reaches the best so far — it could then at most tie, and a
+/// tie keeps the earlier winner. The cost of `(0, 0)`, scored first,
+/// bounds the search from the start.
 fn estimate_global_motion(cur: &Plane, reference: &Plane, range: i64) -> (i16, i16) {
+    if (cur.width(), cur.height()) != (reference.width(), reference.height()) {
+        return estimate_global_motion_clamped(cur, reference, range);
+    }
+    let w = cur.width() as i64;
+    let h = cur.height() as i64;
+    if w <= 2 * range || h <= 2 * range {
+        // An empty window: every SAD is zero and the bias alone picks (0, 0).
+        return (0, 0);
+    }
+    let rows = (range..h - range).step_by(2);
+    let len = (w - 2 * range) as usize;
+    let (cur_s, ref_s) = (cur.samples(), reference.samples());
+    // The cost of `(dx, dy)`, or some value `>= limit` once it reaches it.
+    let cost = |dx: i64, dy: i64, limit: u64| {
+        // Bias towards zero motion (ties and noise should not pan).
+        let mut cost = (dx.unsigned_abs() + dy.unsigned_abs()) * 8;
+        for y in rows.clone() {
+            if cost >= limit {
+                break;
+            }
+            let c = (y * w + range) as usize;
+            let r = ((y + dy) * w + range + dx) as usize;
+            let row_sad: u32 = cur_s[c..c + len]
+                .iter()
+                .step_by(2)
+                .zip(ref_s[r..r + len].iter().step_by(2))
+                .map(|(&a, &b)| a.abs_diff(b) as u32)
+                .sum();
+            cost += row_sad as u64;
+        }
+        cost
+    };
+    // No candidate costlier than (0, 0) can win, so its cost + 1 seeds the
+    // bound (costs are integers); (0, 0) itself still takes its turn in
+    // raster order, so ties resolve as in the unpruned loop.
+    let zero_cost = cost(0, 0, u64::MAX);
+    let mut best = (0i16, 0i16);
+    let mut best_sad = zero_cost + 1;
+    for dy in -range..=range {
+        for dx in -range..=range {
+            let c = if (dx, dy) == (0, 0) { zero_cost } else { cost(dx, dy, best_sad) };
+            if c < best_sad {
+                best_sad = c;
+                best = (dx as i16, dy as i16);
+            }
+        }
+    }
+    best
+}
+
+/// The unpruned search with edge-clamped sampling: the reference oracle
+/// for [`estimate_global_motion`], and its path when the reference has
+/// other dimensions than the current frame (a resolution change mid-GOP).
+fn estimate_global_motion_clamped(cur: &Plane, reference: &Plane, range: i64) -> (i16, i16) {
     let w = cur.width() as i64;
     let h = cur.height() as i64;
     let mut best = (0i16, 0i16);
@@ -396,6 +486,62 @@ fn estimate_global_motion(cur: &Plane, reference: &Plane, range: i64) -> (i16, i
     best
 }
 
+/// Gathers the 8×8 block whose top-left sample is `(x0, y0)`, edge-extended
+/// like [`Plane::sample_clamped`]. Blocks inside the plane copy rows
+/// directly; only edge blocks pay for clamping.
+fn gather_block(plane: &Plane, x0: i64, y0: i64, out: &mut [u8; 64]) {
+    let w = plane.width() as i64;
+    let h = plane.height() as i64;
+    if x0 >= 0 && y0 >= 0 && x0 + 8 <= w && y0 + 8 <= h {
+        let samples = plane.samples();
+        for (jy, row) in out.chunks_exact_mut(8).enumerate() {
+            let start = ((y0 + jy as i64) * w + x0) as usize;
+            row.copy_from_slice(&samples[start..start + 8]);
+        }
+    } else {
+        for (j, s) in out.iter_mut().enumerate() {
+            *s = plane.sample_clamped(x0 + (j % 8) as i64, y0 + (j / 8) as i64);
+        }
+    }
+}
+
+/// Gathers a block's prediction: the motion-shifted reference block of a
+/// P frame, flat mid-grey otherwise.
+fn gather_prediction(
+    reference: Option<&Plane>,
+    kind: FrameKind,
+    x0: u32,
+    y0: u32,
+    mv: (i64, i64),
+    out: &mut [u8; 64],
+) {
+    match (kind, reference) {
+        (FrameKind::Predicted, Some(r)) => gather_block(r, x0 as i64 + mv.0, y0 as i64 + mv.1, out),
+        _ => out.fill(128),
+    }
+}
+
+/// Writes the reconstructed block `residual + pred`, rounded and clipped,
+/// into the part of it that lies inside the `w × h` plane.
+fn store_block(
+    out: &mut [u8],
+    w: u32,
+    h: u32,
+    x0: u32,
+    y0: u32,
+    residual: &[f64; 64],
+    pred: &[u8; 64],
+) {
+    let cols = (w - x0).min(8) as usize;
+    for jy in 0..(h - y0).min(8) as usize {
+        let start = (y0 as usize + jy) * w as usize + x0 as usize;
+        for (jx, s) in out[start..start + cols].iter_mut().enumerate() {
+            let j = jy * 8 + jx;
+            *s = (residual[j] + pred[j] as f64).round().clamp(0.0, 255.0) as u8;
+        }
+    }
+}
+
 /// Codes one plane; returns (reconstruction, coefficients, bits).
 fn code_plane(
     plane: &Plane,
@@ -409,46 +555,38 @@ fn code_plane(
     let h = plane.height();
     let bx = w.div_ceil(8);
     let by = h.div_ceil(8);
+    let steps = quant_steps(q, is_luma);
     let mut entries: Vec<(u32, i16)> = Vec::new();
-    let mut recon = Plane::filled(w, h, 0);
+    let mut recon = vec![0u8; (w * h) as usize];
     let mut bits = 0u64;
 
+    let mut cur = [0u8; 64];
+    let mut pred = [0u8; 64];
     let mut block = [0f64; 64];
     let mut freq = [0f64; 64];
     for byi in 0..by {
         for bxi in 0..bx {
-            // Gather the (residual) block, edge-extended.
-            for jy in 0..8 {
-                for jx in 0..8 {
-                    let px = (bxi * 8 + jx) as i64;
-                    let py = (byi * 8 + jy) as i64;
-                    let cur = plane.sample_clamped(px, py) as f64;
-                    let pred = match (kind, reference) {
-                        (FrameKind::Predicted, Some(r)) => {
-                            r.sample_clamped(px + mv.0, py + mv.1) as f64
-                        }
-                        _ => 128.0,
-                    };
-                    block[(jy * 8 + jx) as usize] = cur - pred;
-                }
+            let (x0, y0) = (bxi * 8, byi * 8);
+            // Gather the residual block, edge-extended; the prediction is
+            // gathered once and reused for the reconstruction.
+            gather_block(plane, x0 as i64, y0 as i64, &mut cur);
+            gather_prediction(reference, kind, x0, y0, mv, &mut pred);
+            for ((b, &c), &p) in block.iter_mut().zip(&cur).zip(&pred) {
+                *b = c as f64 - p as f64;
             }
             fdct8x8(&block, &mut freq);
             // Quantise, cost, dequantise.
             let base = (byi * bx + bxi) * 64;
             let mut block_bits = 1u64; // skip/coded flag
             let mut any = false;
-            for v in 0..8 {
-                for u in 0..8 {
-                    let idx = v * 8 + u;
-                    let step = quant_step(q, u, v, is_luma);
-                    let qc = (freq[idx] / step).round();
-                    let qc = qc.clamp(i16::MIN as f64, i16::MAX as f64) as i16;
-                    freq[idx] = qc as f64 * step;
-                    if qc != 0 {
-                        entries.push((base + idx as u32, qc));
-                        any = true;
-                        block_bits += coeff_bits(qc);
-                    }
+            for (idx, (f, &step)) in freq.iter_mut().zip(&steps).enumerate() {
+                let qc = (*f / step).round();
+                let qc = qc.clamp(i16::MIN as f64, i16::MAX as f64) as i16;
+                *f = qc as f64 * step;
+                if qc != 0 {
+                    entries.push((base + idx as u32, qc));
+                    any = true;
+                    block_bits += coeff_bits(qc);
                 }
             }
             if any {
@@ -457,26 +595,10 @@ fn code_plane(
             bits += block_bits;
             // Reconstruct.
             idct8x8(&freq, &mut block);
-            for jy in 0..8 {
-                for jx in 0..8 {
-                    let px = bxi * 8 + jx;
-                    let py = byi * 8 + jy;
-                    if px < w && py < h {
-                        let pred = match (kind, reference) {
-                            (FrameKind::Predicted, Some(r)) => {
-                                r.sample_clamped(px as i64 + mv.0, py as i64 + mv.1) as f64
-                            }
-                            _ => 128.0,
-                        };
-                        let val =
-                            (block[(jy * 8 + jx) as usize] + pred).round().clamp(0.0, 255.0) as u8;
-                        recon.set(px, py, val);
-                    }
-                }
-            }
+            store_block(&mut recon, w, h, x0, y0, &block, &pred);
         }
     }
-    (recon, QuantizedPlane { width: w, height: h, entries }, bits)
+    (Plane::from_samples(w, h, recon), QuantizedPlane { width: w, height: h, entries }, bits)
 }
 
 fn decode_plane(
@@ -490,7 +612,9 @@ fn decode_plane(
     let w = qp.width;
     let h = qp.height;
     let bx = qp.blocks_x();
-    let mut out = Plane::filled(w, h, 0);
+    let steps = quant_steps(q, is_luma);
+    let mut out = vec![0u8; (w * h) as usize];
+    let mut pred = [0u8; 64];
     let mut freq = [0f64; 64];
     let mut block = [0f64; 64];
     // Entries are ascending by global index and blocks are visited in the
@@ -498,36 +622,21 @@ fn decode_plane(
     let mut cursor = 0usize;
     for byi in 0..qp.blocks_y() {
         for bxi in 0..bx {
+            let (x0, y0) = (bxi * 8, byi * 8);
             let base = (byi * bx + bxi) * 64;
             freq.fill(0.0);
             while cursor < qp.entries.len() && qp.entries[cursor].0 < base + 64 {
                 let (gidx, qc) = qp.entries[cursor];
                 let idx = (gidx - base) as usize;
-                let (v, u) = (idx / 8, idx % 8);
-                freq[idx] = qc as f64 * quant_step(q, u, v, is_luma);
+                freq[idx] = qc as f64 * steps[idx];
                 cursor += 1;
             }
             idct8x8(&freq, &mut block);
-            for jy in 0..8 {
-                for jx in 0..8 {
-                    let px = bxi * 8 + jx;
-                    let py = byi * 8 + jy;
-                    if px < w && py < h {
-                        let pred = match (kind, reference) {
-                            (FrameKind::Predicted, Some(r)) => {
-                                r.sample_clamped(px as i64 + mv.0, py as i64 + mv.1) as f64
-                            }
-                            _ => 128.0,
-                        };
-                        let val =
-                            (block[(jy * 8 + jx) as usize] + pred).round().clamp(0.0, 255.0) as u8;
-                        out.set(px, py, val);
-                    }
-                }
-            }
+            gather_prediction(reference, kind, x0, y0, mv, &mut pred);
+            store_block(&mut out, w, h, x0, y0, &block, &pred);
         }
     }
-    out
+    Plane::from_samples(w, h, out)
 }
 
 /// Bit cost of one non-zero quantised coefficient: sign + unary-ish
@@ -778,6 +887,271 @@ mod tests {
     #[should_panic(expected = "quantizer")]
     fn invalid_quantizer_panics() {
         let _ = CodecConfig::new(30, 0);
+    }
+
+    /// The per-sample clamped plane coder [`code_plane`] replaced: the
+    /// reference oracle of the differential tests.
+    fn code_plane_clamped(
+        plane: &Plane,
+        reference: Option<&Plane>,
+        kind: FrameKind,
+        q: u8,
+        is_luma: bool,
+        mv: (i64, i64),
+    ) -> (Plane, QuantizedPlane, u64) {
+        let w = plane.width();
+        let h = plane.height();
+        let bx = w.div_ceil(8);
+        let by = h.div_ceil(8);
+        let mut entries: Vec<(u32, i16)> = Vec::new();
+        let mut recon = Plane::filled(w, h, 0);
+        let mut bits = 0u64;
+
+        let mut block = [0f64; 64];
+        let mut freq = [0f64; 64];
+        for byi in 0..by {
+            for bxi in 0..bx {
+                for jy in 0..8 {
+                    for jx in 0..8 {
+                        let px = (bxi * 8 + jx) as i64;
+                        let py = (byi * 8 + jy) as i64;
+                        let cur = plane.sample_clamped(px, py) as f64;
+                        let pred = match (kind, reference) {
+                            (FrameKind::Predicted, Some(r)) => {
+                                r.sample_clamped(px + mv.0, py + mv.1) as f64
+                            }
+                            _ => 128.0,
+                        };
+                        block[(jy * 8 + jx) as usize] = cur - pred;
+                    }
+                }
+                fdct8x8(&block, &mut freq);
+                let base = (byi * bx + bxi) * 64;
+                let mut block_bits = 1u64;
+                let mut any = false;
+                for v in 0..8 {
+                    for u in 0..8 {
+                        let idx = v * 8 + u;
+                        let step = quant_step(q, u, v, is_luma);
+                        let qc = (freq[idx] / step).round();
+                        let qc = qc.clamp(i16::MIN as f64, i16::MAX as f64) as i16;
+                        freq[idx] = qc as f64 * step;
+                        if qc != 0 {
+                            entries.push((base + idx as u32, qc));
+                            any = true;
+                            block_bits += coeff_bits(qc);
+                        }
+                    }
+                }
+                if any {
+                    block_bits += 6;
+                }
+                bits += block_bits;
+                idct8x8(&freq, &mut block);
+                for jy in 0..8 {
+                    for jx in 0..8 {
+                        let px = bxi * 8 + jx;
+                        let py = byi * 8 + jy;
+                        if px < w && py < h {
+                            let pred = match (kind, reference) {
+                                (FrameKind::Predicted, Some(r)) => {
+                                    r.sample_clamped(px as i64 + mv.0, py as i64 + mv.1) as f64
+                                }
+                                _ => 128.0,
+                            };
+                            let val = (block[(jy * 8 + jx) as usize] + pred)
+                                .round()
+                                .clamp(0.0, 255.0) as u8;
+                            recon.set(px, py, val);
+                        }
+                    }
+                }
+            }
+        }
+        (recon, QuantizedPlane { width: w, height: h, entries }, bits)
+    }
+
+    /// Encodes with the reference oracles in place of the fast kernels.
+    fn encode_reference(enc: &mut Encoder, image: &ImageBuffer) -> EncodedFrame {
+        let yuv = crate::yuv::rgb_to_yuv420_reference(image);
+        enc.encode_yuv(yuv, estimate_global_motion_clamped, code_plane_clamped)
+    }
+
+    /// Deterministic per-sample noise: every shift of it is distinct, so a
+    /// pure pan has one best match.
+    fn noise(x: i64, y: i64, seed: u64) -> u8 {
+        let mut k = (x as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (y as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+            ^ seed.wrapping_mul(0x1656_67B1_9E37_79F9);
+        k ^= k >> 29;
+        k = k.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        (k >> 56) as u8
+    }
+
+    fn noise_plane(w: u32, h: u32, dx: i64, dy: i64, seed: u64) -> Plane {
+        let samples = (0..h as i64)
+            .flat_map(|y| (0..w as i64).map(move |x| noise(x + dx, y + dy, seed)))
+            .collect();
+        Plane::from_samples(w, h, samples)
+    }
+
+    /// Every plane shape the motion-search tests cover: degenerate, no
+    /// full window, a tile, an FOV frame and the ingest source.
+    const SEARCH_SHAPES: [(u32, u32); 6] =
+        [(1, 1), (7, 9), (17, 17), (40, 40), (112, 112), (320, 160)];
+
+    #[test]
+    fn pruned_search_recovers_every_pure_pan() {
+        for (w, h) in SEARCH_SHAPES.into_iter().filter(|&(w, _)| w >= 40) {
+            let reference = noise_plane(w, h, 0, 0, 7);
+            // Every pan on the tile; on the larger planes, whose unpruned
+            // candidates are slow in unoptimised test builds, the corners,
+            // the centre and pans between.
+            let pans: Vec<i64> = if w == 40 { (-8..=8).collect() } else { vec![-8, -1, 0, 3, 8] };
+            for &dy in &pans {
+                for &dx in &pans {
+                    // cur(x, y) = ref(x + dx, y + dy): the pan is (dx, dy).
+                    let cur = noise_plane(w, h, dx, dy, 7);
+                    assert_eq!(
+                        estimate_global_motion(&cur, &reference, 8),
+                        (dx as i16, dy as i16),
+                        "{w}x{h}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn constant_planes_tie_everywhere_and_pick_zero_motion() {
+        for (w, h) in SEARCH_SHAPES {
+            let cur = Plane::filled(w, h, 90);
+            for reference in [Plane::filled(w, h, 90), Plane::filled(w, h, 200)] {
+                assert_eq!(estimate_global_motion(&cur, &reference, 8), (0, 0), "{w}x{h}");
+                assert_eq!(estimate_global_motion_clamped(&cur, &reference, 8), (0, 0));
+            }
+        }
+    }
+
+    #[test]
+    fn tied_candidates_keep_the_first_in_raster_order() {
+        // Columns repeat with period 4, so a 2-px pan matches at dx = −2
+        // and dx = +2 with the same cost; the strict `<` keeps −2.
+        for (w, h) in [(40, 40), (112, 112), (320, 160)] {
+            let plane = |shift: i64| {
+                let samples = (0..h as i64)
+                    .flat_map(|y| (0..w as i64).map(move |x| noise((x + shift) % 4, y, 5)))
+                    .collect();
+                Plane::from_samples(w, h, samples)
+            };
+            let (cur, reference) = (plane(2), plane(0));
+            assert_eq!(estimate_global_motion(&cur, &reference, 8), (-2, 0), "{w}x{h}");
+            assert_eq!(estimate_global_motion_clamped(&cur, &reference, 8), (-2, 0));
+        }
+    }
+
+    #[test]
+    fn ties_with_zero_motion_resolve_in_raster_order() {
+        // One sampled luma differs by 8 from the reference, so (0, 0)
+        // costs 8; a one-pixel pan that explains it costs its bias, 8.
+        // Before (0, 0) in raster order the pan wins the tie; after it,
+        // (0, 0) does.
+        for (w, h) in [(40, 40), (112, 112), (320, 160)] {
+            let mut cur = Plane::filled(w, h, 100);
+            cur.set(10, 8, 108);
+            for (ref_x, want) in [(9, (-1, 0)), (11, (0, 0))] {
+                let mut reference = Plane::filled(w, h, 100);
+                reference.set(ref_x, 8, 108);
+                assert_eq!(estimate_global_motion(&cur, &reference, 8), want, "{w}x{h}");
+                assert_eq!(estimate_global_motion_clamped(&cur, &reference, 8), want);
+            }
+        }
+    }
+
+    #[test]
+    fn search_against_a_reference_of_other_dimensions_matches_the_clamped_loop() {
+        let cur = noise_plane(40, 40, 2, 1, 3);
+        for (w, h) in [(33, 21), (64, 48), (40, 39), (1, 1)] {
+            let reference = noise_plane(w, h, 0, 0, 3);
+            assert_eq!(
+                estimate_global_motion(&cur, &reference, 8),
+                estimate_global_motion_clamped(&cur, &reference, 8),
+                "{w}x{h}"
+            );
+        }
+    }
+
+    /// A textured frame panned by `shift` with a moving highlight, so P
+    /// frames carry both motion and residual.
+    fn panned(w: u32, h: u32, shift: u32, seed: u64) -> ImageBuffer {
+        ImageBuffer::from_fn(w, h, |x, y| {
+            let n = noise(x as i64 + shift as i64, y as i64, seed);
+            let wave = (((x + shift) as f64 * 0.35).sin() * 70.0 + 128.0) as u8;
+            let spot = if x.abs_diff(shift * 2 % w) < 3 { 90 } else { 0 };
+            Rgb::new(wave / 2 + n / 2, n.saturating_add(spot), 255 - wave)
+        })
+    }
+
+    #[test]
+    fn encoder_resolution_change_mid_gop_matches_reference() {
+        // A P frame whose reference has other dimensions: the search
+        // falls back to the clamped loop and block gathers clamp, so the
+        // output is today's and nothing indexes out of bounds.
+        for sizes in [[(40, 40), (33, 21), (64, 48)], [(17, 9), (112, 112), (1, 1)]] {
+            let mut enc = Encoder::new(CodecConfig::new(30, 12));
+            let mut reference = Encoder::new(CodecConfig::new(30, 12));
+            let mut dec = Decoder::new();
+            for (i, (w, h)) in sizes.into_iter().enumerate() {
+                let img = panned(w, h, i as u32 * 3, 11);
+                let fast = enc.encode_frame(&img);
+                assert_eq!(fast, encode_reference(&mut reference, &img), "{w}x{h}");
+                assert_eq!(fast.kind == FrameKind::Intra, i == 0);
+                assert_eq!(enc.reference, reference.reference);
+                // The decoder follows the encoder's reconstruction exactly.
+                let out = dec.decode_frame(&fast);
+                assert_eq!(out, yuv420_to_rgb(enc.reference.as_ref().unwrap()));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn prop_pruned_search_matches_clamped_search(
+            shape in 0usize..6,
+            dx in -10i64..=10,
+            dy in -10i64..=10,
+            seed in 0u64..1000,
+        ) {
+            let (w, h) = SEARCH_SHAPES[shape];
+            let reference = noise_plane(w, h, 0, 0, seed);
+            // Pans past the search range and noisy content exercise the
+            // pruning; the answer must still be the clamped loop's.
+            let cur = noise_plane(w, h, dx, dy, seed ^ (seed % 3));
+            prop_assert_eq!(
+                estimate_global_motion(&cur, &reference, 8),
+                estimate_global_motion_clamped(&cur, &reference, 8)
+            );
+        }
+
+        #[test]
+        fn prop_fast_frames_match_reference_frames(
+            w in 1u32..70,
+            h in 1u32..50,
+            q in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            // I then P frames at sizes mostly not multiples of 8, at a
+            // fine, the default and a coarse quantiser.
+            let q = [2u8, 12, 40][q];
+            let mut enc = Encoder::new(CodecConfig::new(30, q));
+            let mut reference = Encoder::new(CodecConfig::new(30, q));
+            for shift in [0u32, 3, 5, 5] {
+                let img = panned(w, h, shift, seed);
+                prop_assert_eq!(enc.encode_frame(&img), encode_reference(&mut reference, &img));
+                prop_assert_eq!(&enc.reference, &reference.reference);
+            }
+        }
     }
 
     proptest! {

@@ -28,6 +28,13 @@ impl Plane {
         Plane { width, height, samples: vec![value; (width * height) as usize] }
     }
 
+    /// Wraps row-major `samples` as a `width × height` plane.
+    pub(crate) fn from_samples(width: u32, height: u32, samples: Vec<u8>) -> Self {
+        assert!(width > 0 && height > 0, "plane dimensions must be non-zero");
+        assert_eq!(samples.len(), (width * height) as usize, "sample count mismatch");
+        Plane { width, height, samples }
+    }
+
     /// Width in samples.
     pub fn width(&self) -> u32 {
         self.width
@@ -88,10 +95,46 @@ pub struct Yuv420 {
 /// assert!(img.mean_abs_error(&back) < 0.05);
 /// ```
 pub fn rgb_to_yuv420(img: &ImageBuffer) -> Yuv420 {
+    let (w, h) = (img.width(), img.height());
+    // Chroma planes cover ceil(w/2) × ceil(h/2); each sample averages the
+    // up-to-2×2 RGB block under it.
+    let (cw, ch) = (w.div_ceil(2), h.div_ceil(2));
+    let pixels = img.pixels();
+    let y = pixels.iter().map(|&p| luma(p)).collect();
+    let mut cb = Vec::with_capacity((cw * ch) as usize);
+    let mut cr = Vec::with_capacity((cw * ch) as usize);
+    let w_us = w as usize;
+    for rows in pixels.chunks(2 * w_us) {
+        for cx in 0..cw as usize {
+            let mut sum_cb = 0i32;
+            let mut sum_cr = 0i32;
+            let mut n = 0i32;
+            for row in rows.chunks(w_us) {
+                for &p in &row[2 * cx..(2 * cx + 2).min(w_us)] {
+                    let (b, r) = chroma(p);
+                    sum_cb += b as i32;
+                    sum_cr += r as i32;
+                    n += 1;
+                }
+            }
+            cb.push((sum_cb / n) as u8);
+            cr.push((sum_cr / n) as u8);
+        }
+    }
+    Yuv420 {
+        y: Plane::from_samples(w, h, y),
+        cb: Plane::from_samples(cw, ch, cb),
+        cr: Plane::from_samples(cw, ch, cr),
+    }
+}
+
+/// The per-pixel `get`/`set` conversion [`rgb_to_yuv420`] replaced: the
+/// reference oracle of the differential tests.
+#[cfg(test)]
+pub(crate) fn rgb_to_yuv420_reference(img: &ImageBuffer) -> Yuv420 {
     let w = img.width();
     let h = img.height();
     let mut y = Plane::filled(w, h, 0);
-    // Chroma planes cover ceil(w/2) × ceil(h/2).
     let cw = w.div_ceil(2);
     let ch = h.div_ceil(2);
     let mut cb = Plane::filled(cw, ch, 128);
@@ -105,7 +148,6 @@ pub fn rgb_to_yuv420(img: &ImageBuffer) -> Yuv420 {
     }
     for cy in 0..ch {
         for cx in 0..cw {
-            // Average the up-to-2×2 RGB block under this chroma sample.
             let mut sum_cb = 0i32;
             let mut sum_cr = 0i32;
             let mut n = 0i32;
@@ -202,6 +244,15 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_slice_conversion_matches_reference(w in 1u32..24, h in 1u32..24, seed in 0u32..1000) {
+            let img = ImageBuffer::from_fn(w, h, |x, y| {
+                let k = (x * 73 + y * 151 + seed * 17) ^ (x * y + seed);
+                Rgb::new((k * 37) as u8, (k * 11 + 5) as u8, (k >> 3) as u8)
+            });
+            prop_assert_eq!(rgb_to_yuv420(&img), rgb_to_yuv420_reference(&img));
+        }
+
         #[test]
         fn prop_roundtrip_error_bounded(r in 0u8.., g in 0u8.., b in 0u8..) {
             // A solid-colour image roundtrips with small error everywhere.
