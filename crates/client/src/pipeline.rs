@@ -1,36 +1,37 @@
-//! The staged per-segment playback pipeline.
+//! The staged per-segment playback pipeline — the one loop every
+//! playback flavour runs through.
 //!
-//! Every playback flavour — clean streaming, tiled view-guided
-//! streaming, fault-resilient streaming — used to be its own
-//! hand-maintained loop in `session.rs`. They are all the same four
-//! stages per segment:
+//! Clean streaming, tiled multi-rate streaming and fault-resilient
+//! streaming are the same four stages per segment:
 //!
 //! ```text
 //! plan → fetch → decode/render → account
 //! ```
 //!
-//! * **plan** samples the segment's link state and picks the FOV stream
-//!   (SAS paths only);
-//! * **fetch** walks the degradation ladder (FOV video → full-quality
-//!   original → lower-bitrate rung → freeze) through a [`Transport`],
-//!   which decides how requests reach the server and what can go wrong
-//!   on the way back ([`CleanTransport`] never fails; a
-//!   [`FaultedTransport`] runs every rung under the `evr-faults` retry
-//!   policy);
-//! * **decode/render** plays the delivered frames, dispatching
+//! * **plan** samples the segment's link state and decides what to
+//!   request: the FOV stream (SAS paths), the original, or — when the
+//!   session carries a multi-rate tile catalog — one rung per tile from
+//!   the spherically-weighted allocator;
+//! * **fetch** passes the serving front's admission gate and walks the
+//!   plan's degradation ladder (FOV video → full-quality original →
+//!   lower-bitrate rung → freeze, or per tile: planned rung → coarsest
+//!   rung → frozen tile) through a [`Transport`], which decides how
+//!   requests reach the server and what can go wrong on the way back
+//!   ([`CleanTransport`] never fails; a [`FaultedTransport`] runs every
+//!   rung under the `evr-faults` retry policy);
+//! * **decode/render** plays the delivered frames from one of four
+//!   sources — FOV video, original, tiles, or a freeze — dispatching
 //!   on-device projective transformation to a [`RenderBackend`]
 //!   ([`GpuBackend`], [`PteBackend`], or the degenerate
 //!   [`FovPassthrough`] on FOV-check hits, which needs no PT at all);
 //! * **account** charges the per-segment session costs (GPU context
 //!   power) into the [`EnergyLedger`].
 //!
-//! [`PlaybackSession::run`], [`PlaybackSession::run_tiled`] and
-//! [`PlaybackSession::run_resilient`] are thin configurations of this
-//! one pipeline; `tests/pipeline_parity.rs` pins their reports
-//! bit-identical to the pre-unification loops.
+//! [`PlaybackSession::run`] and [`PlaybackSession::run_resilient`] are
+//! thin configurations of this one pipeline; `tests/pipeline_parity.rs`
+//! pins their reports bit-identical to the pre-unification loops.
 //!
 //! [`PlaybackSession::run`]: crate::session::PlaybackSession::run
-//! [`PlaybackSession::run_tiled`]: crate::session::PlaybackSession::run_tiled
 //! [`PlaybackSession::run_resilient`]: crate::session::PlaybackSession::run_resilient
 
 use std::sync::Arc;
@@ -43,10 +44,11 @@ use evr_projection::FovFrameMeta;
 use evr_pte::{FrameStats, GpuModel, Pte};
 use evr_sas::checker::{CheckOutcome, FovChecker};
 use evr_sas::ingest::FPS;
-use evr_sas::{PrerenderedFov, Request, Response, SasServer};
+use evr_sas::{PrerenderedFov, Request, Response, SasServer, TiledRateCatalog};
 use evr_trace::HeadTrace;
 use evr_video::codec::EncodedSegment;
 
+use crate::abr::{allocate_tile_rungs, AbrPolicy};
 use crate::network::NetworkModel;
 use crate::session::{
     frame_wire_bytes, FaultSummary, PlaybackReport, PlaybackSession, SelectionPolicy, SessionConfig,
@@ -534,7 +536,16 @@ impl FovPayload<'_> {
     }
 }
 
-/// Where a segment's content came from after the degradation ladder ran.
+/// What the plan stage decided to request for one segment.
+enum SegmentPlan {
+    /// The whole-frame degradation ladder, starting at this FOV cluster
+    /// (`None` off the SAS path: the ladder starts at the original).
+    Ladder(Option<usize>),
+    /// One rung per tile of the session's multi-rate tile catalog.
+    Tiles(Vec<usize>),
+}
+
+/// Where a segment's content came from after the fetch stage ran.
 enum SegmentSource<'a> {
     /// The requested FOV video (the clean happy path).
     Fov {
@@ -544,8 +555,29 @@ enum SegmentSource<'a> {
     /// The original panorama at `byte_scale` of its full wire size;
     /// `degraded` marks the lower-bitrate rung.
     Original { byte_scale: f64, degraded: bool },
+    /// Per-tile delivery: the rung each tile arrived at (`None` for a
+    /// frozen tile); `degraded` marks any delivery below the plan.
+    Tiles { delivered: Vec<Option<usize>>, degraded: bool },
     /// Nothing arrived: the last frame stays on screen.
     Freeze,
+}
+
+/// The serving front's verdict on a segment's request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admission {
+    /// Served (after any queueing delay).
+    Served,
+    /// Shed under load: answered at the lowest rung.
+    Shed,
+    /// No response at all (shard outage or open breaker).
+    Unavailable,
+}
+
+/// The session's multi-rate tile catalog with its per-run constants.
+struct TileSource<'s> {
+    catalog: &'s TiledRateCatalog,
+    /// Spherical weight of every tile (the allocator's objective).
+    weights: Vec<f64>,
 }
 
 /// Per-run byte/frame geometry, precomputed once.
@@ -599,6 +631,34 @@ impl RunState {
             faults: FaultSummary::default(),
         }
     }
+
+    /// The run state a [`Transport`] may touch while fetching.
+    fn io<'a>(&'a mut self, session: &'a PlaybackSession) -> StageIo<'a> {
+        StageIo {
+            ledger: &mut self.ledger,
+            faults: &mut self.faults,
+            device: &session.cfg.device,
+            observer: &session.observer,
+            metrics: &session.metrics,
+        }
+    }
+
+    /// Charges the leading intra decode that detects a corrupt payload
+    /// of `pixels` per frame: the transfer was paid for, the decode
+    /// energy is spent, then the ladder descends.
+    fn charge_corrupt(&mut self, device: &DeviceParams, pixels: u64, intra_bytes: u64) {
+        self.faults.corrupt_segments += 1;
+        self.ledger.add(
+            Component::Compute,
+            Activity::Resilience,
+            device.decode_energy(pixels, intra_bytes),
+        );
+        self.ledger.add(
+            Component::Memory,
+            Activity::Resilience,
+            device.dram_energy(device.decode_dram_bytes(pixels)),
+        );
+    }
 }
 
 #[inline]
@@ -622,6 +682,10 @@ pub(crate) struct SegmentPipeline<'s, T, R> {
     /// Who this run is for; recorded (narrowed per segment) on every
     /// timeline interval when the observer carries an enabled timeline.
     ctx: TraceCtx,
+    /// The session's multi-rate tile catalog: when attached, every
+    /// segment is planned and fetched tile by tile instead of through
+    /// the whole-frame ladder.
+    tiles: Option<TileSource<'s>>,
 }
 
 impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
@@ -633,14 +697,21 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         backend: R,
         ctx: TraceCtx,
     ) -> Self {
-        SegmentPipeline { session, server, trace, transport, backend, ctx }
+        let tiles = session.tiles.as_deref().map(|catalog| {
+            assert_eq!(
+                catalog.segment_count(),
+                server.catalog().segment_count(),
+                "tiled rate catalog must cover the same segments"
+            );
+            TileSource { catalog, weights: catalog.grid().tile_weights() }
+        });
+        SegmentPipeline { session, server, trace, transport, backend, ctx, tiles }
     }
 
     /// Drives the four stages over every segment, then settles the
     /// session-wide energy components.
     pub(crate) fn run(mut self) -> PlaybackReport {
         let session = self.session;
-        let server = self.server;
         let cfg = &session.cfg;
         let obs = &session.observer;
         let m = &session.metrics;
@@ -649,7 +720,7 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         // is hoisted so an untimed run skips every clock read below.
         let tl = session.observer.timeline();
         let timed = tl.is_enabled();
-        let catalog = server.catalog();
+        let catalog = self.server.catalog();
         let geom = Geometry::of(cfg);
         let mut st = RunState::new(cfg.sas.device_fov);
 
@@ -663,28 +734,37 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
             let seg_duration = n as f64 / FPS;
             let orig_bytes = catalog.original_target_bytes(seg);
 
-            // plan: sample the segment's link, pick the FOV stream.
+            // plan: sample the segment's link, pick what to request.
             let t0 = observed.then(Instant::now);
             let ts = timed.then(|| tl.now_ns());
             let link =
                 self.transport.segment_link(&cfg.network, seg_start_t, st.faults.stall_time_s);
-            let chosen = if cfg.path.uses_sas() {
-                server.best_cluster(seg, selection_pose(cfg, self.trace, seg_start_t))
-            } else {
-                None
-            };
+            let plan = self.plan(&link, seg, seg_start_t, seg_duration);
             observe_stage(&m.stage_plan, t0);
             if let Some(ts) = ts {
                 tl.record("plan", ctx, ts, tl.now_ns());
             }
 
-            // fetch: walk the degradation ladder until a rung delivers.
+            // fetch: walk the plan's ladder until a rung delivers.
             // `acquire` stamps the server request id into `ctx`, so the
             // fetch interval below carries it for the exemplar table.
             let t0 = observed.then(Instant::now);
             let ts = timed.then(|| tl.now_ns());
-            let source =
-                self.acquire(&mut st, &link, seg, seg_start_t, chosen, orig_bytes, &geom, &mut ctx);
+            let source = match plan {
+                SegmentPlan::Ladder(chosen) => self.acquire(
+                    &mut st,
+                    &link,
+                    seg,
+                    seg_start_t,
+                    chosen,
+                    orig_bytes,
+                    &geom,
+                    &mut ctx,
+                ),
+                SegmentPlan::Tiles(rungs) => {
+                    self.acquire_tiles(&mut st, &link, seg, seg_start_t, rungs, &geom)
+                }
+            };
             observe_stage(&m.stage_fetch, t0);
             if let Some(ts) = ts {
                 tl.record("fetch", ctx, ts, tl.now_ns());
@@ -709,7 +789,27 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                     )
                 }
                 SegmentSource::Original { byte_scale, degraded } => {
-                    self.play_original(&mut st, seg, original, byte_scale, degraded, &geom)
+                    if !observed && !degraded && byte_scale == 1.0 {
+                        // `(x as f64 * 1.0) as u64` is exact below 2^53,
+                        // so the unscaled quiet loop is value-identical
+                        // to the scaled one.
+                        self.play_original_quiet(&mut st, original, &geom)
+                    } else {
+                        self.play_frames(&mut st, seg, n, degraded, &geom, |f| {
+                            (frame_wire_bytes(&original.frames[f], geom.src_scale) as f64
+                                * byte_scale) as u64
+                        })
+                    }
+                }
+                SegmentSource::Tiles { delivered, degraded } => {
+                    let tiles = self.tiles.as_ref().expect("tile plan").catalog;
+                    self.play_frames(&mut st, seg, n, degraded, &geom, |f| {
+                        delivered
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(t, d)| d.map(|r| tiles.rung(seg, t, r).frame_bytes[f]))
+                            .sum()
+                    })
                 }
                 SegmentSource::Freeze => {
                     self.freeze(&mut st, seg, n);
@@ -743,10 +843,115 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         self.finish(st)
     }
 
-    /// The fetch stage: walks the degradation ladder — FOV video →
-    /// full-quality original → lower-bitrate rung → freeze — until a
-    /// rung delivers. On a [`CleanTransport`] the first applicable rung
-    /// always succeeds and the lower rungs fold away.
+    /// The plan stage: with a tile catalog, classify every tile against
+    /// the selection pose and allocate the link's byte budget for the
+    /// segment across rungs with the spherically-weighted allocator
+    /// ([`allocate_tile_rungs`]); otherwise pick the FOV stream (SAS
+    /// paths only).
+    fn plan(
+        &self,
+        link: &SegmentLink,
+        seg: u32,
+        seg_start_t: f64,
+        seg_duration: f64,
+    ) -> SegmentPlan {
+        let cfg = &self.session.cfg;
+        match &self.tiles {
+            Some(tiles) => {
+                let pose = selection_pose(cfg, self.trace, seg_start_t);
+                let classes = tiles.catalog.grid().classify_tiles(
+                    pose,
+                    cfg.sas.device_fov,
+                    evr_sas::PERIPHERY_MARGIN,
+                );
+                let budget = (link.net.bandwidth_bps * seg_duration / 8.0
+                    * AbrPolicy::default().safety) as u64;
+                let rung_bytes = tiles.catalog.tile_rung_bytes(seg);
+                SegmentPlan::Tiles(
+                    allocate_tile_rungs(&rung_bytes, &tiles.weights, &classes, budget).rungs,
+                )
+            }
+            None if cfg.path.uses_sas() => SegmentPlan::Ladder(
+                self.server.best_cluster(seg, selection_pose(cfg, self.trace, seg_start_t)),
+            ),
+            None => SegmentPlan::Ladder(None),
+        }
+    }
+
+    /// The serving front's admission gate for segment `seg`: queueing
+    /// and shed latency stall playback, and shed or unavailable verdicts
+    /// are counted. Clean transports always serve with zero queueing,
+    /// so this folds away on the clean path.
+    fn admit(&mut self, st: &mut RunState, seg: u32, seg_start_t: f64) -> Admission {
+        let session = self.session;
+        let obs = &session.observer;
+        let content = self.server.catalog().content_id();
+        let (admission, stall_s) =
+            match self.transport.front_gate(seg_start_t, st.faults.stall_time_s, seg, content) {
+                FrontGate::Serve { queue_delay_s } => (Admission::Served, queue_delay_s),
+                FrontGate::Shed { latency_s } => (Admission::Shed, latency_s),
+                FrontGate::Unavailable { latency_s } => (Admission::Unavailable, latency_s),
+            };
+        // A shed answer is a response, so its latency is always paid.
+        if stall_s > 0.0 || admission == Admission::Shed {
+            st.io(session).account_stall(stall_s);
+        }
+        match admission {
+            Admission::Served => {}
+            Admission::Shed => {
+                st.faults.shed_segments += 1;
+                if obs.is_enabled() {
+                    obs.mark(names::MARK_FRONT_SHED, -1, seg as i64, stall_s);
+                }
+            }
+            Admission::Unavailable => {
+                st.faults.front_unavailable_segments += 1;
+                if obs.is_enabled() {
+                    obs.mark(names::MARK_FRONT_UNAVAILABLE, -1, seg as i64, stall_s);
+                }
+            }
+        }
+        admission
+    }
+
+    /// One rung of any ladder: `bytes` through the transport on network
+    /// paths (booked on delivery), straight from local storage offline
+    /// (never fails).
+    fn fetch_rung(
+        &mut self,
+        st: &mut RunState,
+        link: &SegmentLink,
+        seg_start_t: f64,
+        seg: u32,
+        bytes: u64,
+    ) -> bool {
+        let session = self.session;
+        let delivered = !session.cfg.path.uses_network()
+            || self.transport.fetch(&mut st.io(session), link, seg_start_t, seg, bytes);
+        if delivered {
+            self.receive(st, link, bytes);
+        }
+        delivered
+    }
+
+    /// Books `bytes` of delivered content: over the radio on network
+    /// paths, as a storage read offline.
+    fn receive(&self, st: &mut RunState, link: &SegmentLink, bytes: u64) {
+        if self.session.cfg.path.uses_network() {
+            st.bytes_received += bytes;
+            if T::PER_SEGMENT_WIRE {
+                st.wire_bytes_total += link.net.wire_bytes(bytes);
+            }
+            self.session.metrics.fetch_bytes.add(bytes);
+        } else {
+            st.storage_read_bytes += bytes;
+        }
+    }
+
+    /// The whole-frame fetch stage: walks the degradation ladder — FOV
+    /// video → full-quality original → lower-bitrate rung → freeze —
+    /// until a rung delivers. On a [`CleanTransport`] the first
+    /// applicable rung always succeeds and the lower rungs fold away.
     #[allow(clippy::too_many_arguments)]
     fn acquire(
         &mut self,
@@ -759,75 +964,15 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         geom: &Geometry,
         ctx: &mut TraceCtx,
     ) -> SegmentSource<'s> {
-        let session = self.session;
         let server = self.server;
-        let cfg = &session.cfg;
-        let obs = &session.observer;
-        let m = &session.metrics;
-        let observed = obs.is_enabled();
+        let obs = &self.session.observer;
 
-        let mut source: Option<SegmentSource<'s>> = None;
         // The serving front's admission gate sits before the FOV rung:
         // a shed response skips straight to the low rung (the shed
         // payload *is* the low-rung original), an unavailable shard
-        // descends the ladder normally. Clean transports always serve
-        // with zero queueing, so this folds away on the clean path.
-        let mut front_shed = false;
-        let fov_admitted = match chosen {
-            None => false,
-            Some(_) => {
-                let content = server.catalog().content_id();
-                match self.transport.front_gate(seg_start_t, st.faults.stall_time_s, seg, content) {
-                    FrontGate::Serve { queue_delay_s } => {
-                        if queue_delay_s > 0.0 {
-                            let mut io = StageIo {
-                                ledger: &mut st.ledger,
-                                faults: &mut st.faults,
-                                device: &cfg.device,
-                                observer: obs,
-                                metrics: m,
-                            };
-                            io.account_stall(queue_delay_s);
-                        }
-                        true
-                    }
-                    FrontGate::Shed { latency_s } => {
-                        let mut io = StageIo {
-                            ledger: &mut st.ledger,
-                            faults: &mut st.faults,
-                            device: &cfg.device,
-                            observer: obs,
-                            metrics: m,
-                        };
-                        io.account_stall(latency_s);
-                        st.faults.shed_segments += 1;
-                        if observed {
-                            obs.mark(names::MARK_FRONT_SHED, -1, seg as i64, latency_s);
-                        }
-                        front_shed = true;
-                        false
-                    }
-                    FrontGate::Unavailable { latency_s } => {
-                        if latency_s > 0.0 {
-                            let mut io = StageIo {
-                                ledger: &mut st.ledger,
-                                faults: &mut st.faults,
-                                device: &cfg.device,
-                                observer: obs,
-                                metrics: m,
-                            };
-                            io.account_stall(latency_s);
-                        }
-                        st.faults.front_unavailable_segments += 1;
-                        if observed {
-                            obs.mark(names::MARK_FRONT_UNAVAILABLE, -1, seg as i64, latency_s);
-                        }
-                        false
-                    }
-                }
-            }
-        };
-        if let (true, Some(cluster)) = (fov_admitted, chosen) {
+        // descends the ladder normally.
+        let admission = chosen.map(|_| self.admit(st, seg, seg_start_t));
+        if let (Some(Admission::Served), Some(cluster)) = (admission, chosen) {
             // Store-backed servers hand out refcounted pre-renders (the
             // fleet-scale path: many sessions share one resident copy);
             // store-less servers lend the catalog's bytes directly. The
@@ -854,91 +999,97 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                 }
             };
             if let Some((payload, wire_bytes)) = fetched {
-                let mut io = StageIo {
-                    ledger: &mut st.ledger,
-                    faults: &mut st.faults,
-                    device: &cfg.device,
-                    observer: obs,
-                    metrics: m,
-                };
-                if self.transport.fetch(&mut io, link, seg_start_t, seg, wire_bytes) {
-                    st.bytes_received += wire_bytes;
-                    if T::PER_SEGMENT_WIRE {
-                        st.wire_bytes_total += link.net.wire_bytes(wire_bytes);
+                if self.fetch_rung(st, link, seg_start_t, seg, wire_bytes) {
+                    if !self.transport.corrupts(seg) {
+                        return SegmentSource::Fov { payload };
                     }
-                    m.fetch_bytes.add(wire_bytes);
-                    if self.transport.corrupts(seg) {
-                        // The transfer was paid for; the leading intra
-                        // decode detects the corruption, then the ladder
-                        // descends.
-                        st.faults.corrupt_segments += 1;
-                        let d = &cfg.device;
-                        let (fov_seg, _) = payload.parts();
-                        let intra = frame_wire_bytes(&fov_seg.frames[0], geom.fov_scale);
-                        st.ledger.add(
-                            Component::Compute,
-                            Activity::Resilience,
-                            d.decode_energy(geom.fov_px, intra),
-                        );
-                        st.ledger.add(
-                            Component::Memory,
-                            Activity::Resilience,
-                            d.dram_energy(d.decode_dram_bytes(geom.fov_px)),
-                        );
-                    } else {
-                        source = Some(SegmentSource::Fov { payload });
-                    }
+                    let (fov_seg, _) = payload.parts();
+                    let intra = frame_wire_bytes(&fov_seg.frames[0], geom.fov_scale);
+                    st.charge_corrupt(&self.session.cfg.device, geom.fov_px, intra);
                 }
             }
         }
         // A front shed skips the full-quality rung: the front already
         // answered with the low-rung original, so asking it for the
         // full original would defeat the load shedding.
-        if source.is_none() && !front_shed {
-            if cfg.path.uses_network() {
-                let mut io = StageIo {
-                    ledger: &mut st.ledger,
-                    faults: &mut st.faults,
-                    device: &cfg.device,
-                    observer: obs,
-                    metrics: m,
-                };
-                if self.transport.fetch(&mut io, link, seg_start_t, seg, orig_bytes) {
-                    st.bytes_received += orig_bytes;
-                    if T::PER_SEGMENT_WIRE {
-                        st.wire_bytes_total += link.net.wire_bytes(orig_bytes);
-                    }
-                    m.fetch_bytes.add(orig_bytes);
-                    source = Some(SegmentSource::Original { byte_scale: 1.0, degraded: false });
-                }
-            } else {
-                st.storage_read_bytes += orig_bytes;
-                source = Some(SegmentSource::Original { byte_scale: 1.0, degraded: false });
-            }
+        if admission != Some(Admission::Shed)
+            && self.fetch_rung(st, link, seg_start_t, seg, orig_bytes)
+        {
+            return SegmentSource::Original { byte_scale: 1.0, degraded: false };
         }
-        if source.is_none() {
-            let low_scale = self.transport.low_rung_scale();
-            let low_bytes = (orig_bytes as f64 * low_scale).round() as u64;
-            if observed {
-                obs.mark(names::MARK_DEGRADE, -1, seg as i64, 2.0);
-            }
-            let mut io = StageIo {
-                ledger: &mut st.ledger,
-                faults: &mut st.faults,
-                device: &cfg.device,
-                observer: obs,
-                metrics: m,
-            };
-            if self.transport.fetch(&mut io, link, seg_start_t, seg, low_bytes) {
-                st.bytes_received += low_bytes;
-                if T::PER_SEGMENT_WIRE {
-                    st.wire_bytes_total += link.net.wire_bytes(low_bytes);
-                }
-                m.fetch_bytes.add(low_bytes);
-                source = Some(SegmentSource::Original { byte_scale: low_scale, degraded: true });
-            }
+        let low_scale = self.transport.low_rung_scale();
+        let low_bytes = (orig_bytes as f64 * low_scale).round() as u64;
+        if obs.is_enabled() {
+            obs.mark(names::MARK_DEGRADE, -1, seg as i64, 2.0);
         }
-        source.unwrap_or(SegmentSource::Freeze)
+        if self.fetch_rung(st, link, seg_start_t, seg, low_bytes) {
+            SegmentSource::Original { byte_scale: low_scale, degraded: true }
+        } else {
+            SegmentSource::Freeze
+        }
+    }
+
+    /// The per-tile fetch stage: the front's admission gate covers the
+    /// whole tile batch (a shed batch is answered at the coarsest rung of
+    /// every tile — the tile analogue of the shed low-rung original),
+    /// then each tile walks its own two-rung ladder. A tile whose planned
+    /// rung fails retries once at the coarsest rung (that tile degrades);
+    /// a tile whose coarsest rung also fails freezes (its last texture
+    /// repeats) — partial tile loss never freezes the whole frame.
+    fn acquire_tiles(
+        &mut self,
+        st: &mut RunState,
+        link: &SegmentLink,
+        seg: u32,
+        seg_start_t: f64,
+        mut rungs: Vec<usize>,
+        geom: &Geometry,
+    ) -> SegmentSource<'s> {
+        let tiles = self.tiles.as_ref().expect("tile plan").catalog;
+        let obs = &self.session.observer;
+        let shed = self.admit(st, seg, seg_start_t) == Admission::Shed;
+        if shed {
+            rungs.fill(0);
+        }
+        // Any delivery below the plan — shed batch, coarsest-rung retry,
+        // corrupt re-fetch, frozen tile — marks the segment degraded.
+        let mut degraded = shed;
+        let mut corruption_checked = false;
+        let mut delivered: Vec<Option<usize>> = Vec::with_capacity(rungs.len());
+        for (t, &want) in rungs.iter().enumerate() {
+            let low = tiles.rung(seg, t, 0).wire_bytes;
+            let wire = tiles.rung(seg, t, want).wire_bytes;
+            let mut got = self.fetch_rung(st, link, seg_start_t, seg, wire).then_some(want);
+            if got.is_none() && want > 0 {
+                // Coarsest-rung retry: the tile degrades, not the frame.
+                if obs.is_enabled() {
+                    obs.mark(names::MARK_DEGRADE, -1, seg as i64, 2.0);
+                }
+                if self.fetch_rung(st, link, seg_start_t, seg, low) {
+                    got = Some(0);
+                    degraded = true;
+                }
+            }
+            // The first delivered tile's leading intra decode detects a
+            // corrupt batch; that tile re-fetches its coarsest rung.
+            if let Some(r) = got.filter(|_| !corruption_checked) {
+                corruption_checked = true;
+                if self.transport.corrupts(seg) {
+                    let intra = tiles.rung(seg, t, r).frame_bytes[0];
+                    st.charge_corrupt(&self.session.cfg.device, geom.src_px, intra);
+                    got = self.fetch_rung(st, link, seg_start_t, seg, low).then_some(0);
+                    degraded |= got.is_some();
+                }
+            }
+            delivered.push(got);
+        }
+        // Frozen tiles contribute no bytes; a segment with *no*
+        // delivered tile freezes outright.
+        if delivered.iter().all(Option::is_none) {
+            return SegmentSource::Freeze;
+        }
+        degraded |= delivered.iter().any(Option::is_none);
+        SegmentSource::Tiles { delivered, degraded }
     }
 
     /// Plays a delivered FOV segment: per frame, FOV-check hit → direct
@@ -1024,17 +1175,7 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                             m.rebuffer_seconds.add(pause);
                             obs.mark(names::MARK_REBUFFER, frame_idx, seg as i64, pause);
                         }
-                        if cfg.path.uses_network() {
-                            st.bytes_received += orig_bytes;
-                            if T::PER_SEGMENT_WIRE {
-                                st.wire_bytes_total += link.net.wire_bytes(orig_bytes);
-                            }
-                            if observed {
-                                m.fetch_bytes.add(orig_bytes);
-                            }
-                        } else {
-                            st.storage_read_bytes += orig_bytes;
-                        }
+                        self.receive(st, link, orig_bytes);
                         // Catch-up decode: the original's GOP starts at
                         // the segment boundary, so reaching frame `f`
                         // means decoding its whole reference chain first.
@@ -1050,108 +1191,112 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                 }
             }
             // Fallback path: decode original + on-device PT.
-            account_decode(
-                &cfg.device,
-                &mut st.ledger,
-                geom.src_px,
+            gpu_used |= self.play_fallback_frame(
+                st,
+                seg,
+                frame_idx,
+                frame_t0,
                 frame_wire_bytes(&original.frames[f], geom.src_scale),
+                geom,
             );
-            {
-                let _pt_span = observed.then(|| obs.span(names::SPAN_PT, frame_idx, seg as i64));
-                gpu_used |= self.backend.render(&mut st.ledger, geom.slot);
-            }
-            st.fallback_frames += 1;
-            st.frames_total += 1;
-            if observed {
-                self.backend.note_metrics(m);
-                m.fallback_frames.inc();
-                m.frames.inc();
-                if let Some(t0) = frame_t0 {
-                    m.frame_seconds.observe(t0.elapsed().as_secs_f64());
-                }
-            }
         }
         gpu_used
     }
 
-    /// Plays a segment from the original panorama: decode at
-    /// `byte_scale` of the full wire size plus on-device PT for every
-    /// frame. Unobserved full-quality segments take the out-of-line
-    /// quiet loop, preserving the tight codegen of an uninstrumented
-    /// session.
-    fn play_original(
+    /// Plays `n` panoramic frames — the original at some byte scale, or
+    /// the delivered tiles — decoding `frame_bytes(f)` and running
+    /// on-device PT for every frame; `degraded` marks a segment served
+    /// below full quality.
+    fn play_frames(
         &self,
         st: &mut RunState,
         seg: u32,
-        original: &EncodedSegment,
-        byte_scale: f64,
+        n: u64,
         degraded: bool,
+        geom: &Geometry,
+        frame_bytes: impl Fn(usize) -> u64,
+    ) -> bool {
+        let session = self.session;
+        let obs = &session.observer;
+        let observed = obs.is_enabled();
+        if degraded {
+            st.faults.degraded_frames += n;
+            if observed {
+                session.metrics.degraded_frames.add(n);
+            }
+            st.faults.degraded_segments += 1;
+        }
+        let mut gpu_used = false;
+        for f in 0..n as usize {
+            let frame_idx = st.frames_total as i64;
+            let _frame_span = observed.then(|| obs.span(names::SPAN_FRAME, frame_idx, seg as i64));
+            let frame_t0 = observed.then(Instant::now);
+            gpu_used |=
+                self.play_fallback_frame(st, seg, frame_idx, frame_t0, frame_bytes(f), geom);
+        }
+        gpu_used
+    }
+
+    /// One panoramic frame: decode `bytes` of the source plus on-device
+    /// PT through the backend, counted as a fallback frame.
+    #[inline]
+    fn play_fallback_frame(
+        &self,
+        st: &mut RunState,
+        seg: u32,
+        frame_idx: i64,
+        frame_t0: Option<Instant>,
+        bytes: u64,
         geom: &Geometry,
     ) -> bool {
         let session = self.session;
         let obs = &session.observer;
         let m = &session.metrics;
         let observed = obs.is_enabled();
-        let n = original.frames.len() as u64;
-        if degraded {
-            st.faults.degraded_frames += n;
-            if observed {
-                m.degraded_frames.add(n);
-            }
-            st.faults.degraded_segments += 1;
-        }
-        if !observed && byte_scale == 1.0 {
-            // `(x as f64 * 1.0) as u64` is exact below 2^53, so the
-            // unscaled quiet loop is value-identical to the scaled one.
-            let gpu_used = self.play_original_quiet(&mut st.ledger, original, geom);
-            st.fallback_frames += n;
-            st.frames_total += n;
-            return gpu_used;
-        }
-        let mut gpu_used = false;
-        #[allow(clippy::needless_range_loop)] // parallel frame index
-        for f in 0..n as usize {
-            let frame_idx = st.frames_total as i64;
-            let _frame_span = observed.then(|| obs.span(names::SPAN_FRAME, frame_idx, seg as i64));
-            let frame_t0 = observed.then(Instant::now);
-            let bytes =
-                (frame_wire_bytes(&original.frames[f], geom.src_scale) as f64 * byte_scale) as u64;
-            account_decode(&session.cfg.device, &mut st.ledger, geom.src_px, bytes);
-            {
-                let _pt_span = observed.then(|| obs.span(names::SPAN_PT, frame_idx, seg as i64));
-                gpu_used |= self.backend.render(&mut st.ledger, geom.slot);
-            }
-            st.fallback_frames += 1;
-            st.frames_total += 1;
-            if observed {
-                self.backend.note_metrics(m);
-                m.fallback_frames.inc();
-                m.frames.inc();
-                if let Some(t0) = frame_t0 {
-                    m.frame_seconds.observe(t0.elapsed().as_secs_f64());
-                }
+        account_decode(&session.cfg.device, &mut st.ledger, geom.src_px, bytes);
+        let gpu_used = {
+            let _pt_span = observed.then(|| obs.span(names::SPAN_PT, frame_idx, seg as i64));
+            self.backend.render(&mut st.ledger, geom.slot)
+        };
+        st.fallback_frames += 1;
+        st.frames_total += 1;
+        if observed {
+            self.backend.note_metrics(m);
+            m.fallback_frames.inc();
+            m.frames.inc();
+            if let Some(t0) = frame_t0 {
+                m.frame_seconds.observe(t0.elapsed().as_secs_f64());
             }
         }
         gpu_used
     }
 
-    /// The uninstrumented decode + PT loop over one original segment;
-    /// returns whether the GPU ran. Kept out of line so the quiet path
-    /// keeps the tight codegen of an unobserved session regardless of
-    /// how much instrumentation surrounds it in the pipeline.
+    /// The uninstrumented decode + PT loop over one full-quality original
+    /// segment; returns whether the GPU ran. Kept out of line so the
+    /// quiet path keeps the tight codegen of an unobserved session
+    /// regardless of how much instrumentation surrounds it in the
+    /// pipeline.
     #[inline(never)]
     fn play_original_quiet(
         &self,
-        ledger: &mut EnergyLedger,
+        st: &mut RunState,
         original: &EncodedSegment,
         geom: &Geometry,
     ) -> bool {
         let device = &self.session.cfg.device;
         let mut gpu_used = false;
         for frame in &original.frames {
-            account_decode(device, ledger, geom.src_px, frame_wire_bytes(frame, geom.src_scale));
-            gpu_used |= self.backend.render(ledger, geom.slot);
+            account_decode(
+                device,
+                &mut st.ledger,
+                geom.src_px,
+                frame_wire_bytes(frame, geom.src_scale),
+            );
+            gpu_used |= self.backend.render(&mut st.ledger, geom.slot);
         }
+        let n = original.frames.len() as u64;
+        st.fallback_frames += n;
+        st.frames_total += n;
         gpu_used
     }
 
@@ -1196,7 +1341,15 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
             st.storage_read_bytes
         };
         let duration_s = st.frames_total as f64 / FPS;
-        let sas_scale = if cfg.path.uses_sas() { 1.0 } else { 0.0 };
+        // The client-control share of SAS's cost: the full FOV-check
+        // machinery on the SAS path; multi-stream tile management costs
+        // a share that grows with the tile count (a single-tile grid
+        // degenerates to plain baseline playback and pays nothing).
+        let sas_scale = match &self.tiles {
+            Some(tiles) => 0.5 * (1.0 - 1.0 / tiles.weights.len() as f64),
+            None if cfg.path.uses_sas() => 1.0,
+            None => 0.0,
+        };
         account_session_tail(
             cfg,
             &session.observer,
@@ -1218,449 +1371,6 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
             duration_s,
             faults: st.faults,
         }
-    }
-}
-
-/// Tiled view-guided streaming through the same staged pipeline: the
-/// fetch stage prices the pose-dependent tile selection, and every
-/// frame renders through the configured backend (tiling never avoids
-/// on-device PT).
-pub(crate) fn run_tiled<R: RenderBackend>(
-    session: &PlaybackSession,
-    server: &SasServer,
-    tiled: &evr_sas::TiledCatalog,
-    trace: &HeadTrace,
-    backend: R,
-) -> PlaybackReport {
-    let cfg = &session.cfg;
-    let obs = &session.observer;
-    let m = &session.metrics;
-    let observed = obs.is_enabled();
-    let tl = obs.timeline();
-    let timed = tl.is_enabled();
-    let catalog = server.catalog();
-    assert_eq!(
-        tiled.segment_count(),
-        catalog.segment_count(),
-        "tiled catalog must cover the same segments"
-    );
-    let src_px = cfg.sas.target_src.0 as u64 * cfg.sas.target_src.1 as u64;
-    let slot = 1.0 / FPS;
-
-    let mut ledger = EnergyLedger::new();
-    let mut frames_total = 0u64;
-    let mut bytes_received = 0u64;
-    for seg in 0..catalog.segment_count() {
-        let _seg_span = observed.then(|| obs.span(names::SPAN_SEGMENT, -1, seg as i64));
-        let ctx = TraceCtx::anonymous().with_segment(seg as i64);
-        m.segments.inc();
-        let original = catalog.original_segment(seg);
-        let n = original.frames.len() as u64;
-        let seg_start_t = original.start_index as f64 / FPS;
-
-        // plan + fetch: price the in-view/out-of-view tile split at the
-        // segment boundary pose.
-        let t0 = observed.then(Instant::now);
-        let ts = timed.then(|| tl.now_ns());
-        let pose = trace.pose_at(seg_start_t);
-        let seg_bytes = tiled.segment_bytes(seg, pose, cfg.sas.device_fov);
-        bytes_received += seg_bytes;
-        m.fetch_bytes.add(seg_bytes);
-        observe_stage(&m.stage_fetch, t0);
-        if let Some(ts) = ts {
-            tl.record("fetch", ctx, ts, tl.now_ns());
-        }
-
-        // decode/render: full-resolution decode of fewer bits, then
-        // full PT on every frame.
-        let t0 = observed.then(Instant::now);
-        let ts = timed.then(|| tl.now_ns());
-        let mut gpu_used = false;
-        for _ in 0..n {
-            account_decode(&cfg.device, &mut ledger, src_px, seg_bytes / n);
-            gpu_used |= backend.render(&mut ledger, slot);
-            if m.enabled {
-                backend.note_metrics(m);
-            }
-            frames_total += 1;
-            m.frames.inc();
-            m.fallback_frames.inc();
-        }
-        observe_stage(&m.stage_render, t0);
-        if let Some(ts) = ts {
-            tl.record("render", ctx, ts, tl.now_ns());
-        }
-
-        let t0 = observed.then(Instant::now);
-        let ts = timed.then(|| tl.now_ns());
-        if gpu_used {
-            ledger.add(
-                Component::Compute,
-                Activity::ProjectiveTransform,
-                cfg.gpu.session_energy(n as f64 / FPS),
-            );
-        }
-        observe_stage(&m.stage_account, t0);
-        if let Some(ts) = ts {
-            tl.record("account", ctx, ts, tl.now_ns());
-        }
-    }
-
-    let duration_s = frames_total as f64 / FPS;
-    // Tile selection / multi-stream management: about half of SAS's
-    // client-control cost (no per-frame FOV checking).
-    account_session_tail(
-        cfg,
-        obs,
-        &mut ledger,
-        duration_s,
-        Some(bytes_received),
-        bytes_received,
-        0.5,
-    );
-
-    PlaybackReport {
-        ledger,
-        frames_total,
-        fov_hits: 0,
-        fov_misses: 0,
-        fallback_frames: frames_total,
-        rebuffer_events: 0,
-        rebuffer_time_s: 0.0,
-        bytes_received,
-        duration_s,
-        faults: FaultSummary::default(),
-    }
-}
-
-/// Fetches one tile payload of `wire` bytes through the transport,
-/// folding the bytes into the run's wire/storage accounting on
-/// delivery. The network-free path reads from storage and never fails.
-#[allow(clippy::too_many_arguments)]
-fn fetch_tile<T: Transport>(
-    transport: &mut T,
-    st: &mut RunState,
-    cfg: &SessionConfig,
-    obs: &Observer,
-    m: &SessionMetrics,
-    link: &SegmentLink,
-    media_t: f64,
-    seg: u32,
-    wire: u64,
-) -> bool {
-    if !cfg.path.uses_network() {
-        st.storage_read_bytes += wire;
-        return true;
-    }
-    let mut io = StageIo {
-        ledger: &mut st.ledger,
-        faults: &mut st.faults,
-        device: &cfg.device,
-        observer: obs,
-        metrics: m,
-    };
-    if transport.fetch(&mut io, link, media_t, seg, wire) {
-        st.bytes_received += wire;
-        if T::PER_SEGMENT_WIRE {
-            st.wire_bytes_total += link.net.wire_bytes(wire);
-        }
-        m.fetch_bytes.add(wire);
-        true
-    } else {
-        false
-    }
-}
-
-/// Per-tile multi-rate streaming — the playback loop behind the
-/// first-class `T`/`T+H` variants.
-///
-/// Per segment: classify every tile against the (possibly predicted)
-/// pose, allocate the link's byte budget across encoding rungs with the
-/// spherically-weighted allocator
-/// ([`crate::abr::allocate_tile_rungs`]), consult the serving front's
-/// admission gate once for the whole tile batch, then fetch each tile
-/// through the [`Transport`]'s retry machinery. A tile whose chosen
-/// rung fails retries once at the coarsest rung (that tile degrades); a
-/// tile whose coarsest rung also fails freezes (its last texture
-/// repeats) — partial tile loss never freezes the whole frame. With a
-/// 1×1 grid and an ample link this path is byte-identical to plain
-/// baseline playback (`tests/tiled_variants.rs` pins it).
-pub(crate) fn run_tiled_multirate<T: Transport, R: RenderBackend>(
-    session: &PlaybackSession,
-    server: &SasServer,
-    tiles: &evr_sas::TiledRateCatalog,
-    trace: &HeadTrace,
-    mut transport: T,
-    backend: R,
-) -> PlaybackReport {
-    let cfg = &session.cfg;
-    let obs = &session.observer;
-    let m = &session.metrics;
-    let observed = obs.is_enabled();
-    let tl = obs.timeline();
-    let timed = tl.is_enabled();
-    let catalog = server.catalog();
-    assert_eq!(
-        tiles.segment_count(),
-        catalog.segment_count(),
-        "tiled rate catalog must cover the same segments"
-    );
-    let grid = tiles.grid();
-    let weights = grid.tile_weights();
-    let tile_count = grid.len();
-    let safety = crate::abr::AbrPolicy::default().safety;
-    let geom = Geometry::of(cfg);
-    let mut st = RunState::new(cfg.sas.device_fov);
-
-    for seg in 0..catalog.segment_count() {
-        let _seg_span = observed.then(|| obs.span(names::SPAN_SEGMENT, -1, seg as i64));
-        let ctx = TraceCtx::anonymous().with_segment(seg as i64);
-        m.segments.inc();
-        let original = catalog.original_segment(seg);
-        let n = original.frames.len() as u64;
-        let seg_start_t = original.start_index as f64 / FPS;
-        let seg_duration = n as f64 / FPS;
-
-        // plan: sample the link, classify tiles against the selection
-        // pose, allocate the segment's byte budget across rungs.
-        let t0 = observed.then(Instant::now);
-        let ts = timed.then(|| tl.now_ns());
-        let link = transport.segment_link(&cfg.network, seg_start_t, st.faults.stall_time_s);
-        let pose = selection_pose(cfg, trace, seg_start_t);
-        let classes = grid.classify_tiles(pose, cfg.sas.device_fov, evr_sas::PERIPHERY_MARGIN);
-        let budget = (link.net.bandwidth_bps * seg_duration / 8.0 * safety) as u64;
-        let rung_bytes = tiles.tile_rung_bytes(seg);
-        let mut alloc = crate::abr::allocate_tile_rungs(&rung_bytes, &weights, &classes, budget);
-        observe_stage(&m.stage_plan, t0);
-        if let Some(ts) = ts {
-            tl.record("plan", ctx, ts, tl.now_ns());
-        }
-
-        // fetch: the serving front's admission gate covers the whole
-        // tile batch (a shed batch is answered at the coarsest rung of
-        // every tile — the tile analogue of the shed low-rung
-        // original), then each tile walks its own two-rung ladder.
-        let t0 = observed.then(Instant::now);
-        let ts = timed.then(|| tl.now_ns());
-        let mut shed = false;
-        match transport.front_gate(seg_start_t, st.faults.stall_time_s, seg, catalog.content_id()) {
-            FrontGate::Serve { queue_delay_s } => {
-                if queue_delay_s > 0.0 {
-                    let mut io = StageIo {
-                        ledger: &mut st.ledger,
-                        faults: &mut st.faults,
-                        device: &cfg.device,
-                        observer: obs,
-                        metrics: m,
-                    };
-                    io.account_stall(queue_delay_s);
-                }
-            }
-            FrontGate::Shed { latency_s } => {
-                let mut io = StageIo {
-                    ledger: &mut st.ledger,
-                    faults: &mut st.faults,
-                    device: &cfg.device,
-                    observer: obs,
-                    metrics: m,
-                };
-                io.account_stall(latency_s);
-                st.faults.shed_segments += 1;
-                if observed {
-                    obs.mark(names::MARK_FRONT_SHED, -1, seg as i64, latency_s);
-                }
-                shed = true;
-                for r in alloc.rungs.iter_mut() {
-                    *r = 0;
-                }
-            }
-            FrontGate::Unavailable { latency_s } => {
-                if latency_s > 0.0 {
-                    let mut io = StageIo {
-                        ledger: &mut st.ledger,
-                        faults: &mut st.faults,
-                        device: &cfg.device,
-                        observer: obs,
-                        metrics: m,
-                    };
-                    io.account_stall(latency_s);
-                }
-                st.faults.front_unavailable_segments += 1;
-                if observed {
-                    obs.mark(names::MARK_FRONT_UNAVAILABLE, -1, seg as i64, latency_s);
-                }
-            }
-        }
-
-        // Any degradation below the allocation — shed batch, coarsest-
-        // rung retry, corrupt re-fetch — marks the segment degraded.
-        let mut any_degraded = shed;
-        let mut corruption_checked = false;
-        let mut delivered: Vec<Option<usize>> = Vec::with_capacity(tile_count);
-        for t in 0..tile_count {
-            let want = alloc.rungs[t];
-            let wire = tiles.rung(seg, t, want).wire_bytes;
-            let mut got =
-                fetch_tile(&mut transport, &mut st, cfg, obs, m, &link, seg_start_t, seg, wire)
-                    .then_some(want);
-            if got.is_none() && want > 0 {
-                // Coarsest-rung retry: the tile degrades, not the frame.
-                if observed {
-                    obs.mark(names::MARK_DEGRADE, -1, seg as i64, 2.0);
-                }
-                let low = tiles.rung(seg, t, 0).wire_bytes;
-                if fetch_tile(&mut transport, &mut st, cfg, obs, m, &link, seg_start_t, seg, low) {
-                    got = Some(0);
-                    any_degraded = true;
-                }
-            }
-            // The first delivered tile's leading intra decode detects a
-            // corrupt batch: the transfer was paid for, the decode
-            // energy is charged, and the tile re-fetches its coarsest
-            // rung.
-            if let Some(r) = got {
-                if !corruption_checked {
-                    corruption_checked = true;
-                    if transport.corrupts(seg) {
-                        st.faults.corrupt_segments += 1;
-                        let d = &cfg.device;
-                        let intra = tiles.rung(seg, t, r).frame_bytes[0];
-                        st.ledger.add(
-                            Component::Compute,
-                            Activity::Resilience,
-                            d.decode_energy(geom.src_px, intra),
-                        );
-                        st.ledger.add(
-                            Component::Memory,
-                            Activity::Resilience,
-                            d.dram_energy(d.decode_dram_bytes(geom.src_px)),
-                        );
-                        let low = tiles.rung(seg, t, 0).wire_bytes;
-                        got = if fetch_tile(
-                            &mut transport,
-                            &mut st,
-                            cfg,
-                            obs,
-                            m,
-                            &link,
-                            seg_start_t,
-                            seg,
-                            low,
-                        ) {
-                            any_degraded = true;
-                            Some(0)
-                        } else {
-                            None
-                        };
-                    }
-                }
-            }
-            delivered.push(got);
-        }
-        observe_stage(&m.stage_fetch, t0);
-        if let Some(ts) = ts {
-            tl.record("fetch", ctx, ts, tl.now_ns());
-        }
-
-        // decode/render: full-resolution decode of the delivered tiles'
-        // bytes, then full PT on every frame (tiling never avoids
-        // on-device PT). Frozen tiles contribute no bytes; a segment
-        // with *no* delivered tile freezes outright.
-        let t0 = observed.then(Instant::now);
-        let ts = timed.then(|| tl.now_ns());
-        let mut gpu_used = false;
-        if delivered.iter().all(|d| d.is_none()) {
-            st.faults.frozen_frames += n;
-            st.faults.degraded_segments += 1;
-            st.frames_total += n;
-            if observed {
-                m.frozen_frames.add(n);
-                m.frames.add(n);
-                obs.mark(names::MARK_DEGRADE, -1, seg as i64, 3.0);
-            }
-        } else {
-            let frozen_tiles = delivered.iter().filter(|d| d.is_none()).count();
-            for f in 0..n as usize {
-                let bytes: u64 = delivered
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(t, d)| d.map(|r| tiles.rung(seg, t, r).frame_bytes[f]))
-                    .sum();
-                account_decode(&cfg.device, &mut st.ledger, geom.src_px, bytes);
-                gpu_used |= backend.render(&mut st.ledger, geom.slot);
-                if m.enabled {
-                    backend.note_metrics(m);
-                }
-                st.fallback_frames += 1;
-                st.frames_total += 1;
-                m.frames.inc();
-                m.fallback_frames.inc();
-            }
-            if any_degraded || frozen_tiles > 0 {
-                st.faults.degraded_frames += n;
-                st.faults.degraded_segments += 1;
-                if observed {
-                    m.degraded_frames.add(n);
-                }
-            }
-        }
-        observe_stage(&m.stage_render, t0);
-        if let Some(ts) = ts {
-            tl.record("render", ctx, ts, tl.now_ns());
-        }
-
-        // account: GPU context power for any segment the GPU ran in.
-        let t0 = observed.then(Instant::now);
-        let ts = timed.then(|| tl.now_ns());
-        if gpu_used {
-            st.ledger.add(
-                Component::Compute,
-                Activity::ProjectiveTransform,
-                cfg.gpu.session_energy(seg_duration),
-            );
-        }
-        observe_stage(&m.stage_account, t0);
-        if let Some(ts) = ts {
-            tl.record("account", ctx, ts, tl.now_ns());
-        }
-    }
-
-    let duration_s = st.frames_total as f64 / FPS;
-    let wire_bytes = if !cfg.path.uses_network() {
-        None
-    } else if T::PER_SEGMENT_WIRE {
-        Some(st.wire_bytes_total)
-    } else {
-        Some(cfg.network.wire_bytes(st.bytes_received))
-    };
-    let storage_bytes =
-        if cfg.path.uses_network() { st.bytes_received } else { st.storage_read_bytes };
-    // Multi-stream tile management costs a share of SAS's client-control
-    // energy that grows with the tile count; a single-tile grid
-    // degenerates to plain baseline playback and pays nothing (which
-    // pins the 1×1 parity test).
-    let sas_scale = 0.5 * (1.0 - 1.0 / tile_count as f64);
-    account_session_tail(
-        cfg,
-        obs,
-        &mut st.ledger,
-        duration_s,
-        wire_bytes,
-        storage_bytes,
-        sas_scale,
-    );
-
-    PlaybackReport {
-        ledger: st.ledger,
-        frames_total: st.frames_total,
-        fov_hits: 0,
-        fov_misses: 0,
-        fallback_frames: st.fallback_frames,
-        rebuffer_events: st.rebuffer_events,
-        rebuffer_time_s: st.rebuffer_time_s,
-        bytes_received: st.bytes_received,
-        duration_s,
-        faults: st.faults,
     }
 }
 

@@ -6,11 +6,14 @@
 //! direct display) → display, while tagging every joule into an
 //! [`EnergyLedger`].
 //!
-//! The control flow itself lives in [`crate::pipeline`]: `run`,
-//! [`PlaybackSession::run_tiled`] and [`PlaybackSession::run_resilient`]
-//! are thin configurations of the same staged segment pipeline,
-//! differing only in the [`Transport`](crate::pipeline::Transport) and
-//! [`RenderBackend`](crate::pipeline::RenderBackend) they plug in.
+//! The control flow itself lives in [`crate::pipeline`]: `run` and
+//! [`PlaybackSession::run_resilient`] are thin configurations of the one
+//! staged segment pipeline, differing only in the
+//! [`Transport`](crate::pipeline::Transport) and
+//! [`RenderBackend`](crate::pipeline::RenderBackend) they plug in. A
+//! session with a multi-rate tile catalog attached
+//! ([`PlaybackSession::with_tiles`]) plans and fetches tile by tile in
+//! the same loop.
 
 use std::sync::Arc;
 
@@ -302,8 +305,8 @@ pub struct PlaybackSession {
     pub(crate) observer: Observer,
     pub(crate) metrics: SessionMetrics,
     /// Per-tile multi-rate catalog: when attached, clean and resilient
-    /// runs play through the tiled multi-rate pipeline (the `T`/`T+H`
-    /// variants) instead of the whole-frame ladder.
+    /// runs plan and fetch every segment tile by tile (the `T`/`T+H`
+    /// variants) instead of through the whole-frame ladder.
     pub(crate) tiles: Option<Arc<TiledRateCatalog>>,
 }
 
@@ -326,9 +329,8 @@ impl PlaybackSession {
 
     /// Attaches a per-tile multi-rate catalog: every subsequent
     /// [`PlaybackSession::run`]/[`PlaybackSession::run_resilient`]
-    /// replays through the tiled multi-rate pipeline, fetching the
-    /// spherically-weighted per-tile rung selection instead of the
-    /// whole-frame degradation ladder.
+    /// fetches the spherically-weighted per-tile rung selection instead
+    /// of the whole-frame degradation ladder.
     pub fn with_tiles(mut self, tiles: Arc<TiledRateCatalog>) -> Self {
         self.tiles = Some(tiles);
         self
@@ -372,38 +374,7 @@ impl PlaybackSession {
         trace: &HeadTrace,
         ctx: TraceCtx,
     ) -> PlaybackReport {
-        if let Some(tiles) = self.tiles.clone() {
-            return self.run_tiled_pipeline(server, &tiles, trace, CleanTransport);
-        }
         self.run_pipeline(server, trace, CleanTransport, ctx)
-    }
-
-    /// Replays `trace` against tile-based view-guided streaming (the
-    /// related-work baseline of paper §2/§9): per segment, in-view tiles
-    /// stream at high quality and the rest at low quality, cutting
-    /// bandwidth — but every frame still needs full on-device projective
-    /// transformation with the configured renderer.
-    ///
-    /// The `server`'s catalog supplies frame structure and timing; wire
-    /// and decode byte counts come from `tiled`.
-    pub fn run_tiled(
-        &self,
-        server: &SasServer,
-        tiled: &evr_sas::TiledCatalog,
-        trace: &HeadTrace,
-    ) -> PlaybackReport {
-        match self.cfg.renderer {
-            Renderer::Gpu => {
-                crate::pipeline::run_tiled(self, server, tiled, trace, GpuBackend::new(&self.cfg))
-            }
-            Renderer::Pte => crate::pipeline::run_tiled(
-                self,
-                server,
-                tiled,
-                trace,
-                PteBackend::new(&self.cfg, self.pte_frame),
-            ),
-        }
     }
 
     /// Replays `trace` against `server`'s video under injected faults:
@@ -447,42 +418,11 @@ impl PlaybackSession {
         if setup.is_clean() || !self.cfg.path.uses_network() {
             return self.run_traced(server, trace, ctx);
         }
-        if let Some(tiles) = self.tiles.clone() {
-            return self.run_tiled_pipeline(server, &tiles, trace, FaultedTransport::new(setup));
-        }
         self.run_pipeline(server, trace, FaultedTransport::new(setup), ctx)
     }
 
-    /// Dispatches the tiled multi-rate pipeline for the configured
-    /// renderer.
-    fn run_tiled_pipeline<T: Transport>(
-        &self,
-        server: &SasServer,
-        tiles: &TiledRateCatalog,
-        trace: &HeadTrace,
-        transport: T,
-    ) -> PlaybackReport {
-        match self.cfg.renderer {
-            Renderer::Gpu => crate::pipeline::run_tiled_multirate(
-                self,
-                server,
-                tiles,
-                trace,
-                transport,
-                GpuBackend::new(&self.cfg),
-            ),
-            Renderer::Pte => crate::pipeline::run_tiled_multirate(
-                self,
-                server,
-                tiles,
-                trace,
-                transport,
-                PteBackend::new(&self.cfg, self.pte_frame),
-            ),
-        }
-    }
-
-    /// Dispatches the staged pipeline for the configured renderer.
+    /// Dispatches the staged pipeline for the configured renderer: the
+    /// one entry point of every run.
     fn run_pipeline<T: Transport>(
         &self,
         server: &SasServer,
@@ -638,71 +578,102 @@ mod tests {
         assert!(r.fallback_frames > 0);
     }
 
+    /// The session shapes the observed-run tests cover: the SAS ladder
+    /// with `sas_renderer`, and a `T+H` session streaming originals tile
+    /// by tile (`true`: attach a multi-rate tile catalog).
+    fn covered_configs(sas_renderer: Renderer) -> [(&'static str, SessionConfig, bool); 2] {
+        let sas = SasConfig::tiny_for_tests();
+        [
+            ("SAS", SessionConfig::new(ContentPath::OnlineSas, sas_renderer, sas), false),
+            ("T+H", SessionConfig::new(ContentPath::OnlineBaseline, Renderer::Pte, sas), true),
+        ]
+    }
+
+    fn covered_session(
+        video: VideoId,
+        cfg: SessionConfig,
+        tiled: bool,
+        observer: evr_obs::Observer,
+    ) -> PlaybackSession {
+        let session = PlaybackSession::with_observer(cfg, observer);
+        if tiled {
+            let tiles = evr_sas::ingest_tiled_rates(&scene_for(video), &cfg.sas, 1.0);
+            session.with_tiles(Arc::new(tiles))
+        } else {
+            session
+        }
+    }
+
     #[test]
     fn observed_run_mirrors_report_counters() {
         let (server, trace) = setup(VideoId::Rhino, 1.0);
-        let obs = evr_obs::Observer::enabled();
-        let cfg =
-            SessionConfig::new(ContentPath::OnlineSas, Renderer::Pte, SasConfig::tiny_for_tests());
-        let session = PlaybackSession::with_observer(cfg, obs.clone());
-        let r = session.run(&server, &trace);
+        for (name, cfg, tiled) in covered_configs(Renderer::Pte) {
+            let obs = evr_obs::Observer::enabled();
+            let r = covered_session(VideoId::Rhino, cfg, tiled, obs.clone()).run(&server, &trace);
 
-        use evr_obs::names;
-        assert_eq!(obs.counter(names::FRAMES).get(), r.frames_total);
-        assert_eq!(obs.counter(names::FOV_HITS).get(), r.fov_hits);
-        assert_eq!(obs.counter(names::FOV_MISSES).get(), r.fov_misses);
-        assert_eq!(obs.counter(names::FALLBACK_FRAMES).get(), r.fallback_frames);
-        assert_eq!(obs.counter(names::REBUFFER_EVENTS).get(), r.rebuffer_events);
-        assert_eq!(obs.counter(names::FETCH_BYTES).get(), r.bytes_received);
-        assert!((obs.gauge(names::REBUFFER_SECONDS).get() - r.rebuffer_time_s).abs() < 1e-12);
-        // Frame latency histogram saw every frame.
-        let hist = obs.histogram(names::FRAME_SECONDS, &evr_obs::LATENCY_BOUNDS_S);
-        assert_eq!(hist.snapshot().count, r.frames_total);
-        // Per-stage pipeline timings cover every segment.
-        let segments = obs.counter(names::SEGMENTS).get();
-        for stage in ["plan", "fetch", "render", "account"] {
-            let h = obs
-                .histogram(&names::pipeline_stage_seconds(stage), &evr_obs::LATENCY_BOUNDS_S)
-                .snapshot();
-            assert_eq!(h.count, segments, "stage {stage}");
-        }
-        // PTE renderer: every fallback frame went through the engine mirror.
-        assert_eq!(obs.counter(names::PT_PTE_FRAMES).get(), r.fallback_frames);
-        assert_eq!(obs.counter(names::PT_GPU_FRAMES).get(), 0);
-        if r.fallback_frames > 0 {
-            assert!(obs.counter(names::PTE_ACTIVE_CYCLES).get() > 0);
-        }
-        // Energy gauges mirror the ledger per component.
-        for c in Component::ALL {
-            let gauge = obs.gauge(&names::energy_gauge(&c.to_string()));
+            use evr_obs::names;
+            assert_eq!(obs.counter(names::FRAMES).get(), r.frames_total, "{name}");
+            assert_eq!(obs.counter(names::FOV_HITS).get(), r.fov_hits, "{name}");
+            assert_eq!(obs.counter(names::FOV_MISSES).get(), r.fov_misses, "{name}");
+            assert_eq!(obs.counter(names::FALLBACK_FRAMES).get(), r.fallback_frames, "{name}");
+            assert_eq!(obs.counter(names::REBUFFER_EVENTS).get(), r.rebuffer_events, "{name}");
+            assert_eq!(obs.counter(names::FETCH_BYTES).get(), r.bytes_received, "{name}");
             assert!(
-                (gauge.get() - r.ledger.component_total(c)).abs() < 1e-9,
-                "{c}: gauge {} vs ledger {}",
-                gauge.get(),
-                r.ledger.component_total(c)
+                (obs.gauge(names::REBUFFER_SECONDS).get() - r.rebuffer_time_s).abs() < 1e-12,
+                "{name}"
             );
+            // Frame latency histogram saw every frame.
+            let hist = obs.histogram(names::FRAME_SECONDS, &evr_obs::LATENCY_BOUNDS_S);
+            assert_eq!(hist.snapshot().count, r.frames_total, "{name}");
+            // Per-stage pipeline timings cover every segment.
+            let segments = obs.counter(names::SEGMENTS).get();
+            assert_eq!(segments, u64::from(server.catalog().segment_count()), "{name}");
+            for stage in ["plan", "fetch", "render", "account"] {
+                let h = obs
+                    .histogram(&names::pipeline_stage_seconds(stage), &evr_obs::LATENCY_BOUNDS_S)
+                    .snapshot();
+                assert_eq!(h.count, segments, "{name}: stage {stage}");
+            }
+            // PTE renderer: every fallback frame went through the engine
+            // mirror.
+            assert_eq!(obs.counter(names::PT_PTE_FRAMES).get(), r.fallback_frames, "{name}");
+            assert_eq!(obs.counter(names::PT_GPU_FRAMES).get(), 0, "{name}");
+            if r.fallback_frames > 0 {
+                assert!(obs.counter(names::PTE_ACTIVE_CYCLES).get() > 0, "{name}");
+            }
+            // Energy gauges mirror the ledger per component.
+            for c in Component::ALL {
+                let gauge = obs.gauge(&names::energy_gauge(&c.to_string()));
+                assert!(
+                    (gauge.get() - r.ledger.component_total(c)).abs() < 1e-9,
+                    "{name} {c}: gauge {} vs ledger {}",
+                    gauge.get(),
+                    r.ledger.component_total(c)
+                );
+            }
+            // Spans cover every frame, hit/miss marks every check.
+            let events = obs.events();
+            let frame_begins = events
+                .iter()
+                .filter(|e| e.name == names::SPAN_FRAME && e.kind == evr_obs::EventKind::SpanBegin)
+                .count() as u64;
+            assert_eq!(frame_begins, r.frames_total, "{name}");
+            let hits = events.iter().filter(|e| e.name == names::MARK_FOV_HIT).count() as u64;
+            let misses = events.iter().filter(|e| e.name == names::MARK_FOV_MISS).count() as u64;
+            assert_eq!((hits, misses), (r.fov_hits, r.fov_misses), "{name}");
         }
-        // Spans cover every frame, hit/miss marks every check.
-        let events = obs.events();
-        let frame_begins = events
-            .iter()
-            .filter(|e| e.name == names::SPAN_FRAME && e.kind == evr_obs::EventKind::SpanBegin)
-            .count() as u64;
-        assert_eq!(frame_begins, r.frames_total);
-        let hits = events.iter().filter(|e| e.name == names::MARK_FOV_HIT).count() as u64;
-        let misses = events.iter().filter(|e| e.name == names::MARK_FOV_MISS).count() as u64;
-        assert_eq!((hits, misses), (r.fov_hits, r.fov_misses));
     }
 
     #[test]
     fn unobserved_run_matches_observed_run() {
         let (server, trace) = setup(VideoId::Rs, 1.0);
-        let cfg =
-            SessionConfig::new(ContentPath::OnlineSas, Renderer::Gpu, SasConfig::tiny_for_tests());
-        let silent = PlaybackSession::new(cfg).run(&server, &trace);
-        let observed =
-            PlaybackSession::with_observer(cfg, evr_obs::Observer::enabled()).run(&server, &trace);
-        assert_eq!(silent, observed);
+        for (name, cfg, tiled) in covered_configs(Renderer::Gpu) {
+            let silent = covered_session(VideoId::Rs, cfg, tiled, evr_obs::Observer::noop())
+                .run(&server, &trace);
+            let observed = covered_session(VideoId::Rs, cfg, tiled, evr_obs::Observer::enabled())
+                .run(&server, &trace);
+            assert_eq!(silent, observed, "{name}");
+        }
     }
 
     #[test]

@@ -46,8 +46,8 @@ impl Variant {
     /// The tiled multi-rate variants, in plot order.
     pub const TILED: [Variant; 2] = [Variant::T, Variant::TPlusH];
 
-    /// Whether this variant plays through the tiled multi-rate
-    /// pipeline (and needs a [`evr_sas::TiledRateCatalog`] attached).
+    /// Whether this variant fetches tile by tile (and needs a
+    /// [`evr_sas::TiledRateCatalog`] attached).
     pub fn is_tiled(self) -> bool {
         matches!(self, Variant::T | Variant::TPlusH)
     }
@@ -68,8 +68,8 @@ impl Variant {
             }
             // The tiled variants stream originals tile by tile (no SAS
             // pre-rendering); the multi-rate catalog attached by
-            // `EvrSystem::session_for` routes playback through the
-            // tiled pipeline.
+            // `EvrSystem::session_for` makes the pipeline plan and fetch
+            // per tile.
             (UseCase::OnlineStreaming, Variant::T) => {
                 (ContentPath::OnlineBaseline, Renderer::Gpu, false)
             }

@@ -67,6 +67,6 @@ pub use prerender::{FovPrerenderStore, PrerenderKey, PrerenderedFov, StoreStats}
 pub use server::{FovUpgrade, Request, Response, SasError, SasServer};
 pub use store::LogStore;
 pub use tiles::{
-    ingest_tiled, ingest_tiled_rates, ingest_tiled_rates_with, ingest_tiled_with, TileClass,
-    TileGrid, TileRung, TiledCatalog, TiledRateCatalog, PERIPHERY_MARGIN,
+    ingest_tiled_rates, ingest_tiled_rates_with, TileClass, TileGrid, TileRung, TiledRateCatalog,
+    PERIPHERY_MARGIN,
 };

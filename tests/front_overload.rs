@@ -7,44 +7,16 @@ use std::sync::OnceLock;
 
 use evr_core::experiment::{run_variant_resilient, ExperimentConfig};
 use evr_core::{EvrSystem, UseCase, Variant};
-use evr_faults::{FaultSetup, ServerFaultEvent, ServerFaultPlan};
+use evr_faults::FaultSetup;
 use evr_sas::SasConfig;
 use evr_video::library::VideoId;
+use server_plans::{mixed_plan, slow_everywhere};
+
+mod server_plans;
 
 fn system() -> &'static EvrSystem {
     static SYS: OnceLock<EvrSystem> = OnceLock::new();
     SYS.get_or_init(|| EvrSystem::build(VideoId::Rhino, SasConfig::tiny_for_tests(), 2.0))
-}
-
-/// Every shard slowed far past the shed budget for the whole run:
-/// every FOV request that reaches the front gets shed to the low-rung
-/// original.
-fn slow_everywhere() -> ServerFaultPlan {
-    let mut plan = ServerFaultPlan::healthy();
-    for shard in 0..4 {
-        plan = plan.with(ServerFaultEvent::SlowShard {
-            shard,
-            latency_scale: 64.0,
-            start_s: 0.0,
-            duration_s: 100.0,
-        });
-    }
-    plan
-}
-
-/// A mixed plan: one shard dark, one slow, plus an eviction storm —
-/// the chaos ladder's server rung at test scale.
-fn mixed_plan() -> ServerFaultPlan {
-    ServerFaultPlan::healthy()
-        .with(ServerFaultEvent::ShardOutage { shard: 0, start_s: 0.0, duration_s: 1.0 })
-        .with(ServerFaultEvent::ShardOutage { shard: 1, start_s: 0.0, duration_s: 1.0 })
-        .with(ServerFaultEvent::SlowShard {
-            shard: 2,
-            latency_scale: 64.0,
-            start_s: 0.5,
-            duration_s: 1.5,
-        })
-        .with(ServerFaultEvent::StoreEvictionStorm { start_s: 0.2, duration_s: 1.0 })
 }
 
 #[test]

@@ -172,17 +172,36 @@ fn smoke_workload_drops_no_spans_or_timeline_events() {
 
 #[test]
 fn timeline_attributes_stages_and_correlates_sas_requests() {
-    let timeline = evr_obs::Timeline::bounded(evr_obs::DEFAULT_TIMELINE_CAPACITY);
-    let obs = evr_obs::Observer::enabled().with_timeline(timeline.clone());
-    let mut system = EvrSystem::build(VideoId::Rhino, SasConfig::tiny_for_tests(), 1.0);
-    system.instrument(&obs);
-    let _ = system.run_user_in(UseCase::OnlineStreaming, Variant::SPlusH, 5);
+    const STAGES: [&str; 4] = ["plan", "fetch", "render", "account"];
+    for variant in [Variant::SPlusH, Variant::TPlusH] {
+        let timeline = evr_obs::Timeline::bounded(evr_obs::DEFAULT_TIMELINE_CAPACITY);
+        let obs = evr_obs::Observer::enabled().with_timeline(timeline.clone());
+        let mut system = EvrSystem::build(VideoId::Rhino, SasConfig::tiny_for_tests(), 1.0);
+        system.instrument(&obs);
+        let _ = system.run_user_in(UseCase::OnlineStreaming, variant, 5);
 
-    let events = timeline.events();
-    assert!(!events.is_empty(), "timeline captured the run");
-    for stage in ["plan", "fetch", "render", "account"] {
-        assert!(events.iter().any(|e| e.stage == stage), "stage {stage} recorded");
+        let events = timeline.events();
+        assert!(!events.is_empty(), "{variant}: timeline captured the run");
+        for stage in STAGES {
+            assert!(events.iter().any(|e| e.stage == stage), "{variant}: stage {stage} recorded");
+        }
+        // Every pipeline-stage interval belongs to the user. (The tiled
+        // catalog is ingested lazily on the first tiled session; those
+        // ingest intervals belong to no user.)
+        for e in events.iter().filter(|e| STAGES.contains(&e.stage)) {
+            assert!(e.end_ns >= e.start_ns, "{variant}: interval is well-formed: {e:?}");
+            assert_eq!(e.ctx.user, 5, "{variant}: interval attributed to the user: {e:?}");
+        }
+        if variant == Variant::SPlusH {
+            check_sas_correlation(&timeline);
+        }
     }
+}
+
+/// An S+H run's timeline: every interval, server-side ones included,
+/// belongs to user 5, and server fetches correlate with client fetches.
+fn check_sas_correlation(timeline: &evr_obs::Timeline) {
+    let events = timeline.events();
     for e in &events {
         assert!(e.end_ns >= e.start_ns, "interval is well-formed: {e:?}");
         assert_eq!(e.ctx.user, 5, "interval attributed to the user: {e:?}");

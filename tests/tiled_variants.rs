@@ -1,5 +1,6 @@
 //! The first-class tiled multi-rate variants (`T`, `T+H`): baseline
-//! parity on a degenerate 1×1 grid, fleet determinism across worker
+//! parity on a degenerate 1×1 grid, the paper's §2 bandwidth-but-not-
+//! energy argument against `S+H`, fleet determinism across worker
 //! counts (clean and faulted), link-budget discipline of the spherical
 //! rate allocator, FOV-monotone tile visibility, and per-tile fault
 //! isolation (a lost tile degrades that tile, never the whole frame).
@@ -43,15 +44,19 @@ fn single_tile_grid_matches_the_plain_baseline() {
     }
 }
 
-#[test]
-fn tiled_variants_produce_figure_rows_and_save_bandwidth() {
-    // Bandwidth savings need a grid fine enough that the out-of-view
-    // rear tiles carry real weight; the tiny 4×2 grid's 90°-wide tiles
-    // nearly all intersect a 110° FOV plus periphery.
+/// Bandwidth savings need a grid fine enough that the out-of-view rear
+/// tiles carry real weight; the tiny 4×2 grid's 90°-wide tiles nearly
+/// all intersect a 110° FOV plus periphery.
+fn fine_grid_system() -> EvrSystem {
     let mut sas = SasConfig::tiny_for_tests();
     sas.analysis_src = (128, 64); // 8×4 grid of 16×16 tiles
     sas.tile_grid = TileGrid::default();
-    let sys = EvrSystem::build(VideoId::Rhino, sas, 1.0);
+    EvrSystem::build(VideoId::Rhino, sas, 1.0)
+}
+
+#[test]
+fn tiled_variants_produce_figure_rows_and_save_bandwidth() {
+    let sys = fine_grid_system();
     let cfg = ExperimentConfig::quick(3);
     let base = run_variant(&sys, UseCase::OnlineStreaming, Variant::Baseline, &cfg);
     let t = run_variant(&sys, UseCase::OnlineStreaming, Variant::T, &cfg);
@@ -76,6 +81,28 @@ fn tiled_variants_produce_figure_rows_and_save_bandwidth() {
         th.ledger.total(),
         t.ledger.total()
     );
+}
+
+/// The paper's §2 argument, reproduced on the `T` variant: tiling
+/// reduces bandwidth, but barely moves device energy because PT still
+/// runs on the GPU for every frame — while EVR's `S+H` actually cuts
+/// device energy.
+#[test]
+fn tiling_saves_bandwidth_but_not_much_energy() {
+    let sys = fine_grid_system();
+    let cfg = ExperimentConfig::quick(3);
+    let run = |v| run_variant(&sys, UseCase::OnlineStreaming, v, &cfg);
+    let base = run(Variant::Baseline);
+    let saving = |r: &evr_core::AggregateReport| {
+        let bandwidth = 1.0 - r.bytes_received / base.bytes_received;
+        let device = 1.0 - r.ledger.total() / base.ledger.total();
+        (bandwidth, device)
+    };
+    let (t_bandwidth, t_device) = saving(&run(Variant::T));
+    let (_, sh_device) = saving(&run(Variant::SPlusH));
+    assert!(t_bandwidth > 0.05, "T bandwidth saving {t_bandwidth}");
+    assert!(t_device < 0.10, "T device saving {t_device}");
+    assert!(sh_device > 2.0 * t_device.max(0.01), "S+H device saving {sh_device} vs T {t_device}");
 }
 
 #[test]
