@@ -1117,13 +1117,14 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
         let n = original.frames.len();
         let mut gpu_used = false;
         let mut fell_back = false;
+        // Frame times only move forward: the cursor keeps the bracketing
+        // samples' quaternions from one frame to the next.
+        let mut poses = self.trace.cursor();
         #[allow(clippy::needless_range_loop)] // indexes three parallel sequences
         for f in 0..n {
             let frame_idx = st.frames_total as i64;
             let _frame_span = observed.then(|| obs.span(names::SPAN_FRAME, frame_idx, seg as i64));
             let frame_t0 = observed.then(Instant::now);
-            let t = seg_start_t + f as f64 * geom.slot;
-            let pose = self.trace.pose_at(t);
             if !fell_back {
                 let outcome = {
                     let _fov_span =
@@ -1131,7 +1132,8 @@ impl<'s, T: Transport, R: RenderBackend> SegmentPipeline<'s, T, R> {
                     if cfg.oracle_hits {
                         st.checker.check(meta[f].orientation, &meta[f])
                     } else {
-                        st.checker.check(pose, &meta[f])
+                        let t = seg_start_t + f as f64 * geom.slot;
+                        st.checker.check(poses.pose_at(t), &meta[f])
                     }
                 };
                 match outcome {

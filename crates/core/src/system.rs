@@ -9,8 +9,8 @@ use evr_sas::{
     ingest_tiled_rates_with, ingest_video_with, FovPrerenderStore, IngestOptions, SasConfig,
     SasServer, TiledRateCatalog,
 };
-use evr_trace::behavior::{generate_user_trace, params_for};
-use evr_trace::HeadTrace;
+use evr_trace::behavior::{generate_from_tracks, params_for};
+use evr_trace::{HeadTrace, ObjectTracks};
 use evr_video::library::{scene_for, VideoId};
 use evr_video::scene::Scene;
 
@@ -154,6 +154,11 @@ pub struct EvrSystem {
     sas: SasConfig,
     duration_s: f64,
     observer: evr_obs::Observer,
+    /// Every scene object's direction at every trace sample time over the
+    /// served duration: the user-independent half of
+    /// [`EvrSystem::user_trace`], built once and shared by derived
+    /// systems.
+    tracks: Arc<ObjectTracks>,
     /// Per-tile multi-rate catalog for the `T`/`T+H` variants, built
     /// lazily on the first tiled session (most sweeps never pay for it).
     tiles: Mutex<Option<Arc<TiledRateCatalog>>>,
@@ -177,6 +182,7 @@ impl EvrSystem {
         let catalog = ingest_video_with(&scene, &sas, duration_s, &options)
             .unwrap_or_else(|e| panic!("ingest of {video:?} failed: {e}"));
         let server = SasServer::with_store(catalog, store);
+        let tracks = Arc::new(ObjectTracks::new(&scene, duration_s, evr_sas::ingest::FPS));
         EvrSystem {
             video,
             scene,
@@ -184,6 +190,7 @@ impl EvrSystem {
             sas,
             duration_s,
             observer: evr_obs::Observer::noop(),
+            tracks,
             tiles: Mutex::new(None),
         }
     }
@@ -242,16 +249,12 @@ impl EvrSystem {
         &self.scene
     }
 
-    /// Generates the head trace of one study user.
+    /// Generates the head trace of one study user (bit-identical to
+    /// [`evr_trace::generate_user_trace`] over the scene and the served
+    /// duration at the ingest frame rate).
     pub fn user_trace(&self, user: u64) -> HeadTrace {
         let seed = user ^ ((self.video as u64) << 32);
-        generate_user_trace(
-            &self.scene,
-            &params_for(self.video),
-            seed,
-            self.duration_s,
-            evr_sas::ingest::FPS,
-        )
+        generate_from_tracks(&self.tracks, &params_for(self.video), seed)
     }
 
     /// Runs one user's playback under `variant` in the online-streaming
@@ -346,6 +349,7 @@ impl EvrSystem {
             sas,
             duration_s: self.duration_s,
             observer: self.observer.clone(),
+            tracks: self.tracks.clone(),
             tiles: Mutex::new(self.tiles.lock().unwrap().clone()),
         }
     }
@@ -415,6 +419,24 @@ mod tests {
         let sys = tiny_system();
         assert_eq!(sys.user_trace(7), sys.user_trace(7));
         assert_ne!(sys.user_trace(7), sys.user_trace(8));
+    }
+
+    #[test]
+    fn shared_tracks_reproduce_per_call_generation() {
+        let sys = tiny_system();
+        let derived = sys.with_utilization(sys.sas_config().object_utilization);
+        assert!(Arc::ptr_eq(&sys.tracks, &derived.tracks), "derived systems share the table");
+        for user in [0, 7, 1 << 20] {
+            let alone = evr_trace::generate_user_trace(
+                sys.scene(),
+                &params_for(sys.video()),
+                user ^ ((sys.video() as u64) << 32),
+                sys.duration(),
+                evr_sas::ingest::FPS,
+            );
+            assert_eq!(sys.user_trace(user), alone);
+            assert_eq!(derived.user_trace(user), alone);
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The energy ledger: `(component, activity)`-tagged joule accounting.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// The five device components of the paper's §3 breakdown.
@@ -73,6 +72,22 @@ pub enum Activity {
     DeltaReconstruct,
 }
 
+impl Activity {
+    /// All activities, in key order.
+    pub const ALL: [Activity; 10] = [
+        Activity::Decode,
+        Activity::ProjectiveTransform,
+        Activity::Base,
+        Activity::DisplayScan,
+        Activity::NetworkRx,
+        Activity::StorageIo,
+        Activity::HeadMotionPrediction,
+        Activity::QualityAssessment,
+        Activity::Resilience,
+        Activity::DeltaReconstruct,
+    ];
+}
+
 impl fmt::Display for Activity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -91,17 +106,52 @@ impl fmt::Display for Activity {
     }
 }
 
+const COMPONENTS: usize = Component::ALL.len();
+const ACTIVITIES: usize = Activity::ALL.len();
+// One presence bit per cell.
+const _: () = assert!(COMPONENTS * ACTIVITIES <= 64);
+
 /// Joules per `(component, activity)` pair over a playback session.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Stored densely, one cell per pair, plus a presence mask with one bit
+/// per cell that is set by the first [`EnergyLedger::add`] or
+/// [`EnergyLedger::merge`] touching the cell — even with 0 J. Every sum
+/// runs over the present cells only, in `(component, activity)` key
+/// order, so totals, equality and formatting are exactly those of a
+/// sorted map holding the touched pairs.
+#[derive(Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnergyLedger {
-    entries: BTreeMap<(Component, Activity), f64>,
+    /// `joules[component][activity]`; 0 for absent cells.
+    joules: [[f64; ACTIVITIES]; COMPONENTS],
+    /// Bit `component * ACTIVITIES + activity` is set for present cells.
+    present: u64,
     duration_s: f64,
+}
+
+/// The presence bit of a cell.
+#[inline]
+fn bit(component: usize, activity: usize) -> u64 {
+    1 << (component * ACTIVITIES + activity)
 }
 
 impl EnergyLedger {
     /// An empty ledger.
     pub fn new() -> Self {
         EnergyLedger::default()
+    }
+
+    /// The present cells whose bits are in `mask`, in key order.
+    fn cells(&self, mask: u64) -> impl Iterator<Item = (Component, Activity, f64)> + '_ {
+        let mut bits = self.present & mask;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let (c, a) = (i / ACTIVITIES, i % ACTIVITIES);
+            Some((Component::ALL[c], Activity::ALL[a], self.joules[c][a]))
+        })
     }
 
     /// Adds this ledger's per-component totals into the
@@ -129,7 +179,9 @@ impl EnergyLedger {
     #[inline]
     pub fn add(&mut self, component: Component, activity: Activity, joules: f64) {
         assert!(joules.is_finite() && joules >= 0.0, "joules must be non-negative: {joules}");
-        *self.entries.entry((component, activity)).or_insert(0.0) += joules;
+        let (c, a) = (component as usize, activity as usize);
+        self.joules[c][a] += joules;
+        self.present |= bit(c, a);
     }
 
     /// Records the session duration (for power reporting).
@@ -145,22 +197,24 @@ impl EnergyLedger {
 
     /// Joules for one `(component, activity)` pair.
     pub fn get(&self, component: Component, activity: Activity) -> f64 {
-        self.entries.get(&(component, activity)).copied().unwrap_or(0.0)
+        self.joules[component as usize][activity as usize]
     }
 
     /// Total joules for a component.
     pub fn component_total(&self, component: Component) -> f64 {
-        self.entries.iter().filter(|((c, _), _)| *c == component).map(|(_, j)| j).sum()
+        let row = ((1 << ACTIVITIES) - 1) << (component as usize * ACTIVITIES);
+        self.cells(row).map(|(_, _, j)| j).sum()
     }
 
     /// Total joules for an activity across components.
     pub fn activity_total(&self, activity: Activity) -> f64 {
-        self.entries.iter().filter(|((_, a), _)| *a == activity).map(|(_, j)| j).sum()
+        let column = (0..COMPONENTS).fold(0, |m, c| m | bit(c, activity as usize));
+        self.cells(column).map(|(_, _, j)| j).sum()
     }
 
     /// Grand total, joules.
     pub fn total(&self) -> f64 {
-        self.entries.values().sum()
+        self.cells(u64::MAX).map(|(_, _, j)| j).sum()
     }
 
     /// Average power of a component over the recorded duration, watts.
@@ -187,15 +241,9 @@ impl EnergyLedger {
     /// The share of compute+memory energy spent on projective
     /// transformation — Fig. 3b's headline ~40%.
     pub fn pt_share_of_processing(&self) -> f64 {
-        let pt = self
-            .entries
-            .iter()
-            .filter(|((c, a), _)| {
-                matches!(c, Component::Compute | Component::Memory)
-                    && *a == Activity::ProjectiveTransform
-            })
-            .map(|(_, j)| j)
-            .sum::<f64>();
+        let pt_cells = bit(Component::Memory as usize, Activity::ProjectiveTransform as usize)
+            | bit(Component::Compute as usize, Activity::ProjectiveTransform as usize);
+        let pt = self.cells(pt_cells).map(|(_, _, j)| j).sum::<f64>();
         let denom = self.processing_total();
         if denom == 0.0 {
             0.0
@@ -222,9 +270,10 @@ impl EnergyLedger {
     /// Merges another ledger into this one (summing entries; duration is
     /// kept from `self`).
     pub fn merge(&mut self, other: &EnergyLedger) {
-        for (&(c, a), &j) in &other.entries {
-            *self.entries.entry((c, a)).or_insert(0.0) += j;
+        for (c, a, j) in other.cells(u64::MAX) {
+            self.joules[c as usize][a as usize] += j;
         }
+        self.present |= other.present;
     }
 }
 
@@ -233,6 +282,22 @@ fn saving(baseline: f64, ours: f64) -> f64 {
         0.0
     } else {
         (baseline - ours) / baseline
+    }
+}
+
+/// Formats as the sorted map of present cells it stands for.
+impl fmt::Debug for EnergyLedger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Entries<'a>(&'a EnergyLedger);
+        impl fmt::Debug for Entries<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.cells(u64::MAX).map(|(c, a, j)| ((c, a), j))).finish()
+            }
+        }
+        f.debug_struct("EnergyLedger")
+            .field("entries", &Entries(self))
+            .field("duration_s", &self.duration_s)
+            .finish()
     }
 }
 
@@ -291,17 +356,14 @@ mod tests {
     #[test]
     fn savings_are_relative() {
         let base = sample_ledger();
-        let mut opt = sample_ledger();
-        // Remove all PT energy.
-        opt = EnergyLedger {
-            entries: opt
-                .entries
-                .iter()
-                .filter(|((_, a), _)| *a != Activity::ProjectiveTransform)
-                .map(|(&k, &v)| (k, v))
-                .collect(),
-            duration_s: opt.duration_s,
-        };
+        // The same ledger without any PT energy.
+        let mut opt = EnergyLedger::new();
+        opt.set_duration(base.duration());
+        for (c, a, j) in base.cells(u64::MAX) {
+            if a != Activity::ProjectiveTransform {
+                opt.add(c, a, j);
+            }
+        }
         let cs = opt.compute_saving_vs(&base);
         assert!((cs - 13.0 / 31.0).abs() < 1e-12);
         let ds = opt.device_saving_vs(&base);
@@ -372,6 +434,136 @@ mod tests {
         let obs = evr_obs::Observer::noop();
         sample_ledger().mirror_gauges(&obs);
         assert!(obs.metrics().is_empty());
+    }
+
+    /// The sorted-map ledger the dense one replaced, as the reference
+    /// for its bits.
+    #[derive(Debug, Default, Clone, PartialEq)]
+    struct MapLedger(std::collections::BTreeMap<(Component, Activity), f64>);
+
+    impl MapLedger {
+        fn add(&mut self, c: Component, a: Activity, j: f64) {
+            *self.0.entry((c, a)).or_insert(0.0) += j;
+        }
+        fn merge(&mut self, other: &MapLedger) {
+            for (&k, &j) in &other.0 {
+                *self.0.entry(k).or_insert(0.0) += j;
+            }
+        }
+        fn total(&self) -> f64 {
+            self.0.values().sum()
+        }
+        fn component_total(&self, c: Component) -> f64 {
+            self.0.iter().filter(|((k, _), _)| *k == c).map(|(_, j)| j).sum()
+        }
+        fn activity_total(&self, a: Activity) -> f64 {
+            self.0.iter().filter(|((_, k), _)| *k == a).map(|(_, j)| j).sum()
+        }
+        /// The ledger's `Display`, over the map's component totals.
+        fn display(&self) -> String {
+            let mut out = "energy ledger (0.0 s):\n".to_string();
+            for c in Component::ALL {
+                let j = self.component_total(c);
+                if j > 0.0 {
+                    out += &format!("  {c:8} {j:10.3} J\n");
+                }
+            }
+            out
+        }
+        fn pt(&self) -> f64 {
+            self.0
+                .iter()
+                .filter(|((c, a), _)| {
+                    matches!(c, Component::Compute | Component::Memory)
+                        && *a == Activity::ProjectiveTransform
+                })
+                .map(|(_, j)| j)
+                .sum()
+        }
+    }
+
+    /// Replays `ops` — `(cell, joules, merge?)` — into a dense ledger and
+    /// a map oracle. A merge op folds a one-cell ledger in instead of
+    /// adding directly.
+    fn replay(ops: &[(usize, f64, bool)]) -> (EnergyLedger, MapLedger) {
+        let (mut dense, mut map) = (EnergyLedger::new(), MapLedger::default());
+        for &(cell, j, merge) in ops {
+            let c = Component::ALL[cell / ACTIVITIES];
+            let a = Activity::ALL[cell % ACTIVITIES];
+            if merge {
+                let (mut d, mut m) = (EnergyLedger::new(), MapLedger::default());
+                d.add(c, a, j);
+                m.add(c, a, j);
+                dense.merge(&d);
+                map.merge(&m);
+            } else {
+                dense.add(c, a, j);
+                map.add(c, a, j);
+            }
+        }
+        (dense, map)
+    }
+
+    fn assert_same_bits(dense: &EnergyLedger, map: &MapLedger) {
+        assert_eq!(dense.total().to_bits(), map.total().to_bits());
+        for c in Component::ALL {
+            assert_eq!(dense.component_total(c).to_bits(), map.component_total(c).to_bits());
+            for a in Activity::ALL {
+                let want = map.0.get(&(c, a)).copied().unwrap_or(0.0);
+                assert_eq!(dense.get(c, a).to_bits(), want.to_bits());
+            }
+        }
+        for a in Activity::ALL {
+            assert_eq!(dense.activity_total(a).to_bits(), map.activity_total(a).to_bits());
+        }
+        let pt = dense.cells(u64::MAX).filter(|&(c, a, _)| {
+            matches!(c, Component::Compute | Component::Memory)
+                && a == Activity::ProjectiveTransform
+        });
+        assert_eq!(pt.map(|(_, _, j)| j).sum::<f64>().to_bits(), map.pt().to_bits());
+        assert_eq!(dense.to_string(), map.display());
+        assert_eq!(
+            format!("{dense:?}"),
+            format!("EnergyLedger {{ entries: {:?}, duration_s: 0.0 }}", map.0)
+        );
+    }
+
+    #[test]
+    fn empty_and_zero_cells_keep_map_bits() {
+        // The empty sum, and a cell charged 0 J (present, so it joins
+        // every sum) — the cases a dense array without a mask would miss.
+        let (dense, map) = replay(&[]);
+        assert_same_bits(&dense, &map);
+        let (zero, zmap) = replay(&[(3, 0.0, false), (41, 0.0, true)]);
+        assert_same_bits(&zero, &zmap);
+        assert_ne!(dense, zero);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_dense_ledger_matches_map_oracle(
+            ops in proptest::collection::vec((0usize..50, 0.0f64..10.0, any::<bool>()), 0..80),
+            zeros in proptest::collection::vec(0usize..50, 0..4),
+            split in 0usize..80,
+        ) {
+            let mut ops = ops;
+            for z in zeros {
+                ops.push((z, 0.0, z % 2 == 0));
+            }
+            let (dense, map) = replay(&ops);
+            assert_same_bits(&dense, &map);
+            // Merging two halves equals the oracle's merge.
+            let split = split.min(ops.len());
+            let (mut a, mut ma) = replay(&ops[..split]);
+            let (b, mb) = replay(&ops[split..]);
+            a.merge(&b);
+            ma.merge(&mb);
+            assert_same_bits(&a, &ma);
+            // Equality follows the oracle's.
+            let (again, _) = replay(&ops);
+            prop_assert!(dense == again);
+            prop_assert_eq!(a == dense, ma == map);
+        }
     }
 
     proptest! {

@@ -96,55 +96,37 @@ impl TileGrid {
     /// ERP stretching. A pole-facing pose therefore sees the entire
     /// polar row, and a 1×1 grid is visible from every pose.
     pub fn visible_tiles(&self, pose: EulerAngles, fov: FovSpec) -> Vec<bool> {
+        let terms = FovTerms::new(self, pose);
+        let (half_h, half_v) = half_extents(fov);
         let mut out = Vec::with_capacity(self.len());
-        for row in 0..self.rows {
-            for col in 0..self.cols {
-                out.push(self.tile_in_fov(col, row, pose, fov));
+        for row in &terms.rows {
+            for &d_lon in &terms.d_lon {
+                out.push(FovTerms::hits(row, d_lon, half_h, half_v));
             }
         }
         out
     }
 
-    fn tile_in_fov(&self, col: u32, row: u32, pose: EulerAngles, fov: FovSpec) -> bool {
-        let half_h = fov.h_radians().0 / 2.0;
-        let half_v = fov.v_radians().0 / 2.0;
-        let (lon_lo, lon_hi, lat_lo, lat_hi) = self.tile_extents(col, row);
-        // Nearest-point longitude distance to the tile's interval, with
-        // wraparound at the ±π seam.
-        let yaw = (pose.yaw.0 + std::f64::consts::PI).rem_euclid(std::f64::consts::TAU)
-            - std::f64::consts::PI;
-        let d_lon = if (lon_lo..=lon_hi).contains(&yaw) {
-            0.0
-        } else {
-            let to_lo = Radians(yaw).angular_distance(Radians(lon_lo)).0;
-            let to_hi = Radians(yaw).angular_distance(Radians(lon_hi)).0;
-            to_lo.min(to_hi)
-        };
-        let lat_mid = (lat_lo + lat_hi) / 2.0;
-        let lat_near = pose.pitch.0.clamp(lat_lo, lat_hi);
-        [lat_lo, lat_mid, lat_hi, lat_near].iter().any(|&lat| {
-            let d_pitch = pose.pitch.angular_distance(Radians(lat)).0;
-            d_pitch <= half_v && d_lon * lat.cos().abs() <= half_h
-        })
-    }
-
     /// Classifies every tile for rate allocation: [`TileClass::Visible`]
     /// if it intersects `fov`, [`TileClass::Peripheral`] if it
     /// intersects `fov` expanded by `margin`, [`TileClass::OutOfView`]
-    /// otherwise.
+    /// otherwise. Both tests share one set of per-row and per-column
+    /// terms, computed once per call.
     pub fn classify_tiles(
         &self,
         pose: EulerAngles,
         fov: FovSpec,
         margin: Degrees,
     ) -> Vec<TileClass> {
-        let wide = fov.expanded(margin);
+        let terms = FovTerms::new(self, pose);
+        let (half_h, half_v) = half_extents(fov);
+        let (wide_h, wide_v) = half_extents(fov.expanded(margin));
         let mut out = Vec::with_capacity(self.len());
-        for row in 0..self.rows {
-            for col in 0..self.cols {
-                let class = if self.tile_in_fov(col, row, pose, fov) {
+        for row in &terms.rows {
+            for &d_lon in &terms.d_lon {
+                let class = if FovTerms::hits(row, d_lon, half_h, half_v) {
                     TileClass::Visible
-                } else if self.tile_in_fov(col, row, pose, wide) {
+                } else if FovTerms::hits(row, d_lon, wide_h, wide_v) {
                     TileClass::Peripheral
                 } else {
                     TileClass::OutOfView
@@ -172,6 +154,59 @@ impl TileGrid {
             }
         }
         out
+    }
+}
+
+/// Half the horizontal and vertical extent of `fov`, radians.
+fn half_extents(fov: FovSpec) -> (f64, f64) {
+    (fov.h_radians().0 / 2.0, fov.v_radians().0 / 2.0)
+}
+
+/// The pose-dependent terms of [`TileGrid::visible_tiles`]' test, split
+/// into a per-column and a per-row part so that every tile, and both
+/// FOVs of [`TileGrid::classify_tiles`], share one evaluation.
+struct FovTerms {
+    /// Per column: longitude distance from the pose yaw to the column's
+    /// interval (0 inside it), with wraparound at the ±π seam.
+    d_lon: Vec<f64>,
+    /// Per row: `(pitch distance, |cos lat|)` at its four sample
+    /// latitudes.
+    rows: Vec<[(f64, f64); 4]>,
+}
+
+impl FovTerms {
+    fn new(grid: &TileGrid, pose: EulerAngles) -> Self {
+        let yaw = (pose.yaw.0 + std::f64::consts::PI).rem_euclid(std::f64::consts::TAU)
+            - std::f64::consts::PI;
+        let d_lon = (0..grid.cols)
+            .map(|col| {
+                let (lon_lo, lon_hi, _, _) = grid.tile_extents(col, 0);
+                if (lon_lo..=lon_hi).contains(&yaw) {
+                    0.0
+                } else {
+                    let to_lo = Radians(yaw).angular_distance(Radians(lon_lo)).0;
+                    let to_hi = Radians(yaw).angular_distance(Radians(lon_hi)).0;
+                    to_lo.min(to_hi)
+                }
+            })
+            .collect();
+        let rows = (0..grid.rows)
+            .map(|row| {
+                let (_, _, lat_lo, lat_hi) = grid.tile_extents(0, row);
+                let lat_mid = (lat_lo + lat_hi) / 2.0;
+                let lat_near = pose.pitch.0.clamp(lat_lo, lat_hi);
+                [lat_lo, lat_mid, lat_hi, lat_near]
+                    .map(|lat| (pose.pitch.angular_distance(Radians(lat)).0, lat.cos().abs()))
+            })
+            .collect();
+        FovTerms { d_lon, rows }
+    }
+
+    /// Whether the tile at `row` and a column `d_lon` away intersects a
+    /// FOV of half-extents `half_h` × `half_v`.
+    #[inline]
+    fn hits(row: &[(f64, f64); 4], d_lon: f64, half_h: f64, half_v: f64) -> bool {
+        row.iter().any(|&(d_pitch, cos_lat)| d_pitch <= half_v && d_lon * cos_lat <= half_h)
     }
 }
 
@@ -570,6 +605,97 @@ mod tests {
             assert_eq!(*c == TileClass::Visible, *v);
         }
         assert!(classes.contains(&TileClass::OutOfView));
+    }
+
+    /// The per-tile FOV test the hoisted [`FovTerms`] replaced: every
+    /// term recomputed for each tile and each FOV.
+    fn tile_in_fov(g: &TileGrid, col: u32, row: u32, pose: EulerAngles, fov: FovSpec) -> bool {
+        let half_h = fov.h_radians().0 / 2.0;
+        let half_v = fov.v_radians().0 / 2.0;
+        let (lon_lo, lon_hi, lat_lo, lat_hi) = g.tile_extents(col, row);
+        let yaw = (pose.yaw.0 + std::f64::consts::PI).rem_euclid(std::f64::consts::TAU)
+            - std::f64::consts::PI;
+        let d_lon = if (lon_lo..=lon_hi).contains(&yaw) {
+            0.0
+        } else {
+            let to_lo = Radians(yaw).angular_distance(Radians(lon_lo)).0;
+            let to_hi = Radians(yaw).angular_distance(Radians(lon_hi)).0;
+            to_lo.min(to_hi)
+        };
+        let lat_mid = (lat_lo + lat_hi) / 2.0;
+        let lat_near = pose.pitch.0.clamp(lat_lo, lat_hi);
+        [lat_lo, lat_mid, lat_hi, lat_near].iter().any(|&lat| {
+            let d_pitch = pose.pitch.angular_distance(Radians(lat)).0;
+            d_pitch <= half_v && d_lon * lat.cos().abs() <= half_h
+        })
+    }
+
+    fn reference_classes(g: &TileGrid, pose: EulerAngles, fov: FovSpec) -> Vec<TileClass> {
+        let wide = fov.expanded(PERIPHERY_MARGIN);
+        let mut out = Vec::new();
+        for row in 0..g.rows {
+            for col in 0..g.cols {
+                out.push(if tile_in_fov(g, col, row, pose, fov) {
+                    TileClass::Visible
+                } else if tile_in_fov(g, col, row, pose, wide) {
+                    TileClass::Peripheral
+                } else {
+                    TileClass::OutOfView
+                });
+            }
+        }
+        out
+    }
+
+    fn assert_matches_reference(g: TileGrid, pose: EulerAngles) {
+        let fov = FovSpec::hdk2();
+        let want = reference_classes(&g, pose, fov);
+        assert_eq!(g.classify_tiles(pose, fov, PERIPHERY_MARGIN), want, "{g:?} {pose:?}");
+        let visible: Vec<bool> = want.iter().map(|c| *c == TileClass::Visible).collect();
+        assert_eq!(g.visible_tiles(pose, fov), visible, "{g:?} {pose:?}");
+    }
+
+    #[test]
+    fn hoisted_classification_matches_per_tile_reference_at_edges() {
+        let pi = std::f64::consts::PI;
+        let grids = [
+            TileGrid::default(),
+            TileGrid { cols: 1, rows: 1 },
+            TileGrid { cols: 6, rows: 5 },
+            TileGrid { cols: 16, rows: 8 },
+        ];
+        // Poles, the ±π seam (on it and a hair either side), exact tile
+        // boundaries and an out-of-range yaw that must wrap.
+        let poses = [
+            (0.0, pi / 2.0),
+            (1.0, -pi / 2.0),
+            (pi, 0.0),
+            (-pi, 0.3),
+            (pi - 1e-12, -0.2),
+            (-pi + 1e-12, 0.2),
+            (pi / 4.0, pi / 4.0),
+            (3.0 * pi, 0.1),
+            (0.0, 0.0),
+        ];
+        for g in grids {
+            for (yaw, pitch) in poses {
+                let pose = EulerAngles::new(Radians(yaw), Radians(pitch), Radians(0.0));
+                assert_matches_reference(g, pose);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_hoisted_classification_matches_per_tile_reference(
+            yaw in -7.0f64..7.0,
+            pitch in -1.6f64..1.6,
+            cols in 1u32..17,
+            rows in 1u32..9,
+        ) {
+            let pose = EulerAngles::new(Radians(yaw), Radians(pitch), Radians(0.0));
+            assert_matches_reference(TileGrid { cols, rows }, pose);
+        }
     }
 
     #[test]

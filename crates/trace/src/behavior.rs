@@ -22,6 +22,7 @@ use evr_video::library::VideoId;
 use evr_video::scene::Scene;
 
 use crate::sample::{HeadTrace, PoseSample};
+use crate::tracks::{ObjectTracks, TrackPoint};
 
 /// Calibration parameters of the behaviour model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -91,6 +92,9 @@ enum GazeState {
 ///
 /// `user_seed` individualises the user (the study uses seeds `0..59`);
 /// `duration` is capped to the scene duration; `sample_rate` is in Hz.
+/// Builds the [`ObjectTracks`] table for this one trace; callers
+/// generating many users of one scene build it once and call
+/// [`generate_from_tracks`] per user.
 ///
 /// # Panics
 ///
@@ -103,26 +107,34 @@ pub fn generate_user_trace(
     duration: f64,
     sample_rate: f64,
 ) -> HeadTrace {
-    assert!(!scene.objects().is_empty(), "behaviour model requires at least one object");
-    assert!(duration > 0.0 && sample_rate > 0.0, "duration and sample rate must be positive");
-    let duration = duration.min(scene.duration());
-    let dt = 1.0 / sample_rate;
-    let steps = (duration * sample_rate).round() as usize;
+    generate_from_tracks(&ObjectTracks::new(scene, duration, sample_rate), params, user_seed)
+}
+
+/// Generates one user's head trace over a precomputed object-track
+/// table — bit-identical to [`generate_user_trace`] over the table's
+/// scene, duration and sample rate.
+pub fn generate_from_tracks(
+    tracks: &ObjectTracks,
+    params: &BehaviorParams,
+    user_seed: u64,
+) -> HeadTrace {
+    let dt = tracks.dt();
     let mut rng = SmallRng::seed_from_u64(user_seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
 
     // Users start looking at some object.
-    let first = rng.gen_range(0..scene.objects().len());
-    let mut gaze = scene.objects()[first].position(0.0);
+    let first = rng.gen_range(0..tracks.objects());
+    let mut gaze = tracks.at(0)[first].dir;
     let mut state = GazeState::Tracking { target: first, until: dwell(&mut rng, params) };
     let mut jitter_phase = rng.gen_range(0.0..std::f64::consts::TAU);
 
-    let mut samples = Vec::with_capacity(steps + 1);
-    for step in 0..=steps {
+    let mut samples = Vec::with_capacity(tracks.steps() + 1);
+    for step in 0..=tracks.steps() {
         let t = step as f64 * dt;
-        state = advance_state(scene, params, &mut rng, state, gaze, t);
+        let objects = tracks.at(step);
+        state = advance_state(objects, params, &mut rng, state, gaze, t);
         let target_dir = match state {
             GazeState::Tracking { target, .. } | GazeState::Acquiring { target } => {
-                jittered(scene.objects()[target].position(t), params.jitter, jitter_phase, t)
+                jittered(&objects[target], params.jitter, jitter_phase, t)
             }
             GazeState::Exploring { dir, .. } => dir,
         };
@@ -137,8 +149,10 @@ pub fn generate_user_trace(
     HeadTrace::from_samples(samples)
 }
 
+/// One state-machine step at time `t`; `objects` are the scene's
+/// objects at `t`.
 fn advance_state(
-    scene: &Scene,
+    objects: &[TrackPoint],
     params: &BehaviorParams,
     rng: &mut SmallRng,
     state: GazeState,
@@ -156,13 +170,13 @@ fn advance_state(
                 };
             }
             if t >= until {
-                let next = pick_next_object(scene, params, rng, target, t);
+                let next = pick_next_object(objects, params, rng, target);
                 return GazeState::Acquiring { target: next };
             }
             GazeState::Tracking { target, until }
         }
         GazeState::Acquiring { target } => {
-            let obj = scene.objects()[target].position(t);
+            let obj = objects[target].dir;
             if gaze.dot(obj).clamp(-1.0, 1.0).acos() < 0.05 {
                 GazeState::Tracking { target, until: t + dwell(rng, params) }
             } else {
@@ -172,7 +186,7 @@ fn advance_state(
         GazeState::Exploring { dir, until } => {
             if t >= until {
                 // Return to the object nearest the current gaze.
-                let target = nearest_object(scene, dir, t);
+                let target = nearest_object(objects, dir);
                 GazeState::Acquiring { target }
             } else {
                 GazeState::Exploring { dir, until }
@@ -190,26 +204,25 @@ fn dwell(rng: &mut SmallRng, params: &BehaviorParams) -> f64 {
 }
 
 fn pick_next_object(
-    scene: &Scene,
+    objects: &[TrackPoint],
     params: &BehaviorParams,
     rng: &mut SmallRng,
     current: usize,
-    t: f64,
 ) -> usize {
-    let n = scene.objects().len();
+    let n = objects.len();
     if n == 1 {
         return 0;
     }
     if rng.gen_bool(params.nearby_switch_bias) {
         // Nearest other object to the current one (stay within the group).
-        let here = scene.objects()[current].position(t);
+        let here = objects[current].dir;
         let mut best = current;
         let mut best_d = f64::INFINITY;
-        for (i, obj) in scene.objects().iter().enumerate() {
+        for (i, obj) in objects.iter().enumerate() {
             if i == current {
                 continue;
             }
-            let d = here.dot(obj.position(t)).clamp(-1.0, 1.0).acos();
+            let d = here.dot(obj.dir).clamp(-1.0, 1.0).acos();
             if d < best_d {
                 best_d = d;
                 best = i;
@@ -226,14 +239,13 @@ fn pick_next_object(
     }
 }
 
-fn nearest_object(scene: &Scene, dir: Vec3, t: f64) -> usize {
-    scene
-        .objects()
+fn nearest_object(objects: &[TrackPoint], dir: Vec3) -> usize {
+    objects
         .iter()
         .enumerate()
         .min_by(|(_, a), (_, b)| {
-            let da = dir.dot(a.position(t));
-            let db = dir.dot(b.position(t));
+            let da = dir.dot(a.dir);
+            let db = dir.dot(b.dir);
             db.partial_cmp(&da).expect("dot products are finite")
         })
         .map(|(i, _)| i)
@@ -247,11 +259,11 @@ fn random_explore_dir(rng: &mut SmallRng) -> Vec3 {
     SphericalCoord::new(Radians(lon), Radians(lat)).to_unit_vector()
 }
 
-fn jittered(dir: Vec3, amp: f64, phase: f64, t: f64) -> Vec3 {
+fn jittered(obj: &TrackPoint, amp: f64, phase: f64, t: f64) -> Vec3 {
     if amp == 0.0 {
-        return dir;
+        return obj.dir;
     }
-    let s = SphericalCoord::from_vector(dir).expect("object directions are unit");
+    let s = obj.coord;
     SphericalCoord::new(
         Radians(s.lon.0 + amp * (phase + 2.1 * t).sin()),
         Radians(s.lat.0 + 0.6 * amp * (phase * 1.7 + 1.4 * t).cos()),
@@ -268,6 +280,7 @@ fn gaze_to_pose(gaze: Vec3) -> EulerAngles {
 mod tests {
     use super::*;
     use evr_video::library::scene_for;
+    use proptest::prelude::*;
 
     #[test]
     fn trace_has_expected_length_and_monotone_time() {
@@ -330,6 +343,230 @@ mod tests {
             10.0,
         );
         let _ = generate_user_trace(&scene, &BehaviorParams::default(), 0, 5.0, 30.0);
+    }
+
+    /// The per-sample generator the track table replaced, kept as the
+    /// reference the table-driven generator is tested against: it
+    /// evaluates each object position (and the jitter's spherical form)
+    /// at the moment the state machine asks for it.
+    mod oracle {
+        use super::super::*;
+
+        pub fn generate_user_trace(
+            scene: &Scene,
+            params: &BehaviorParams,
+            user_seed: u64,
+            duration: f64,
+            sample_rate: f64,
+        ) -> HeadTrace {
+            let duration = duration.min(scene.duration());
+            let dt = 1.0 / sample_rate;
+            let steps = (duration * sample_rate).round() as usize;
+            let mut rng =
+                SmallRng::seed_from_u64(user_seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
+            let first = rng.gen_range(0..scene.objects().len());
+            let mut gaze = scene.objects()[first].position(0.0);
+            let mut state = GazeState::Tracking { target: first, until: dwell(&mut rng, params) };
+            let mut jitter_phase = rng.gen_range(0.0..std::f64::consts::TAU);
+            let mut samples = Vec::with_capacity(steps + 1);
+            for step in 0..=steps {
+                let t = step as f64 * dt;
+                state = advance_state(scene, params, &mut rng, state, gaze, t);
+                let target_dir = match state {
+                    GazeState::Tracking { target, .. } | GazeState::Acquiring { target } => {
+                        jittered(
+                            scene.objects()[target].position(t),
+                            params.jitter,
+                            jitter_phase,
+                            t,
+                        )
+                    }
+                    GazeState::Exploring { dir, .. } => dir,
+                };
+                let speed = match state {
+                    GazeState::Tracking { .. } => params.pursuit_speed,
+                    _ => params.saccade_speed,
+                };
+                gaze = step_towards(gaze, target_dir, Radians(speed * dt));
+                jitter_phase += dt * 1.3;
+                samples.push(PoseSample { t, pose: gaze_to_pose(gaze) });
+            }
+            HeadTrace::from_samples(samples)
+        }
+
+        fn advance_state(
+            scene: &Scene,
+            params: &BehaviorParams,
+            rng: &mut SmallRng,
+            state: GazeState,
+            gaze: Vec3,
+            t: f64,
+        ) -> GazeState {
+            match state {
+                GazeState::Tracking { target, until } => {
+                    let dt_prob = params.explore_rate / 30.0;
+                    if rng.gen_bool(dt_prob.clamp(0.0, 1.0)) {
+                        return GazeState::Exploring {
+                            dir: random_explore_dir(rng),
+                            until: t + rng
+                                .gen_range(params.explore_duration.0..params.explore_duration.1),
+                        };
+                    }
+                    if t >= until {
+                        let next = pick_next_object(scene, params, rng, target, t);
+                        return GazeState::Acquiring { target: next };
+                    }
+                    GazeState::Tracking { target, until }
+                }
+                GazeState::Acquiring { target } => {
+                    let obj = scene.objects()[target].position(t);
+                    if gaze.dot(obj).clamp(-1.0, 1.0).acos() < 0.05 {
+                        GazeState::Tracking { target, until: t + dwell(rng, params) }
+                    } else {
+                        GazeState::Acquiring { target }
+                    }
+                }
+                GazeState::Exploring { dir, until } => {
+                    if t >= until {
+                        GazeState::Acquiring { target: nearest_object(scene, dir, t) }
+                    } else {
+                        GazeState::Exploring { dir, until }
+                    }
+                }
+            }
+        }
+
+        fn pick_next_object(
+            scene: &Scene,
+            params: &BehaviorParams,
+            rng: &mut SmallRng,
+            current: usize,
+            t: f64,
+        ) -> usize {
+            let n = scene.objects().len();
+            if n == 1 {
+                return 0;
+            }
+            if rng.gen_bool(params.nearby_switch_bias) {
+                let here = scene.objects()[current].position(t);
+                let mut best = current;
+                let mut best_d = f64::INFINITY;
+                for (i, obj) in scene.objects().iter().enumerate() {
+                    if i == current {
+                        continue;
+                    }
+                    let d = here.dot(obj.position(t)).clamp(-1.0, 1.0).acos();
+                    if d < best_d {
+                        best_d = d;
+                        best = i;
+                    }
+                }
+                best
+            } else {
+                let mut pick = rng.gen_range(0..n - 1);
+                if pick >= current {
+                    pick += 1;
+                }
+                pick
+            }
+        }
+
+        fn nearest_object(scene: &Scene, dir: Vec3, t: f64) -> usize {
+            scene
+                .objects()
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| {
+                    let da = dir.dot(a.position(t));
+                    let db = dir.dot(b.position(t));
+                    db.partial_cmp(&da).expect("dot products are finite")
+                })
+                .map(|(i, _)| i)
+                .expect("scene has objects")
+        }
+
+        fn jittered(dir: Vec3, amp: f64, phase: f64, t: f64) -> Vec3 {
+            if amp == 0.0 {
+                return dir;
+            }
+            let s = SphericalCoord::from_vector(dir).expect("object directions are unit");
+            SphericalCoord::new(
+                Radians(s.lon.0 + amp * (phase + 2.1 * t).sin()),
+                Radians(s.lat.0 + 0.6 * amp * (phase * 1.7 + 1.4 * t).cos()),
+            )
+            .to_unit_vector()
+        }
+    }
+
+    /// Bitwise trace equality: `HeadTrace`'s `==` compares floats with
+    /// `==`, which would let `-0.0` stand in for `0.0`.
+    fn bits(trace: &HeadTrace) -> Vec<[u64; 4]> {
+        trace
+            .samples()
+            .iter()
+            .map(|s| {
+                [
+                    s.t.to_bits(),
+                    s.pose.yaw.0.to_bits(),
+                    s.pose.pitch.0.to_bits(),
+                    s.pose.roll.0.to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    fn assert_matches_oracle(video: VideoId, seed: u64, duration: f64, rate: f64) {
+        let scene = scene_for(video);
+        let p = params_for(video);
+        let fast = generate_user_trace(&scene, &p, seed, duration, rate);
+        let slow = oracle::generate_user_trace(&scene, &p, seed, duration, rate);
+        assert_eq!(fast, slow, "{video:?} seed {seed} {duration}s @ {rate}Hz");
+        assert_eq!(bits(&fast), bits(&slow), "{video:?} seed {seed} {duration}s @ {rate}Hz");
+    }
+
+    #[test]
+    fn tracks_match_oracle_on_every_library_video() {
+        for video in VideoId::ALL {
+            for seed in [0, 1, 58, 7 ^ ((video as u64) << 32)] {
+                assert_matches_oracle(video, seed, 20.0, 30.0);
+            }
+        }
+    }
+
+    #[test]
+    fn tracks_match_oracle_across_sample_rates() {
+        for rate in [10.0, 30.0, 90.0] {
+            for video in [VideoId::Rhino, VideoId::Rs, VideoId::Paris] {
+                assert_matches_oracle(video, 11, 12.0, rate);
+            }
+        }
+    }
+
+    #[test]
+    fn tracks_match_oracle_for_capped_and_fractional_durations() {
+        // Capped by the scene, and durations whose sample count rounds.
+        assert_matches_oracle(VideoId::Timelapse, 4, 1e6, 10.0);
+        assert_matches_oracle(VideoId::Nyc, 9, 2.517, 30.0);
+        assert_matches_oracle(VideoId::Elephant, 3, 0.01, 90.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_tracks_match_oracle(
+            video in 0usize..6,
+            seed in any::<u64>(),
+            duration in 0.05f64..75.0,
+            rate in 0usize..3,
+        ) {
+            let rate = [10.0, 30.0, 90.0][rate];
+            let video = VideoId::ALL[video];
+            let scene = scene_for(video);
+            let p = params_for(video);
+            let fast = generate_user_trace(&scene, &p, seed, duration, rate);
+            let slow = oracle::generate_user_trace(&scene, &p, seed, duration, rate);
+            prop_assert_eq!(bits(&fast), bits(&slow));
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@ use serde::{Deserialize, Serialize};
 
 use evr_video::library::{scene_for, VideoId};
 
-use crate::behavior::{generate_user_trace, params_for};
+use crate::behavior::{generate_from_tracks, params_for};
 use crate::sample::HeadTrace;
+use crate::tracks::ObjectTracks;
 
 /// Number of users in the study, matching the paper's dataset.
 pub const USER_COUNT: usize = 59;
@@ -52,11 +53,12 @@ impl UserStudy {
         assert!(users > 0, "study needs at least one user");
         let scene = scene_for(video);
         let params = params_for(video);
+        let tracks = ObjectTracks::new(&scene, scene.duration(), sample_rate);
         let traces = (0..users as u64)
             .map(|u| {
                 // Seed users distinctly per (video, user).
                 let seed = u ^ ((video as u64) << 32);
-                generate_user_trace(&scene, &params, seed, scene.duration(), sample_rate)
+                generate_from_tracks(&tracks, &params, seed)
             })
             .collect();
         UserStudy { video, traces, sample_rate }
@@ -78,6 +80,23 @@ mod tests {
         assert_eq!(study.traces.len(), 4);
         assert_ne!(study.traces[0], study.traces[1]);
         assert_ne!(study.traces[2], study.traces[3]);
+    }
+
+    #[test]
+    fn study_shares_one_table_per_video() {
+        let study = UserStudy::generate_n(VideoId::Paris, 10.0, 3);
+        let scene = scene_for(VideoId::Paris);
+        for (u, trace) in study.traces.iter().enumerate() {
+            let seed = u as u64 ^ ((VideoId::Paris as u64) << 32);
+            let alone = crate::behavior::generate_user_trace(
+                &scene,
+                &params_for(VideoId::Paris),
+                seed,
+                scene.duration(),
+                10.0,
+            );
+            assert_eq!(*trace, alone);
+        }
     }
 
     #[test]

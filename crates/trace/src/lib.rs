@@ -15,7 +15,9 @@
 //!   (Fig. 6).
 //!
 //! [`analysis`] implements the measurements behind those two figures;
-//! [`sample`] provides the trace containers and IMU-style resampling.
+//! [`sample`] provides the trace containers and IMU-style resampling;
+//! [`tracks`] precomputes the object positions every user of a scene
+//! shares, so generating a study evaluates each object once per sample.
 //!
 //! # Example
 //!
@@ -34,7 +36,9 @@ pub mod behavior;
 pub mod dataset;
 pub mod io;
 pub mod sample;
+pub mod tracks;
 
-pub use behavior::{generate_user_trace, params_for, BehaviorParams};
+pub use behavior::{generate_from_tracks, generate_user_trace, params_for, BehaviorParams};
 pub use dataset::UserStudy;
-pub use sample::{HeadTrace, PoseSample};
+pub use sample::{HeadTrace, PoseCursor, PoseSample};
+pub use tracks::ObjectTracks;

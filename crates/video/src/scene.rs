@@ -185,7 +185,10 @@ impl Scene {
     ///
     /// # Panics
     ///
-    /// Panics if `duration` is not positive or object ids are not unique.
+    /// Panics if `duration` is not positive, object ids are not unique,
+    /// or a trajectory has no direction at some time: a `Static` zero
+    /// `dir`, an empty `Waypoints` list or a zero waypoint. Those would
+    /// otherwise panic only when something first evaluates the object.
     pub fn new(
         name: impl Into<String>,
         background: Background,
@@ -197,6 +200,24 @@ impl Scene {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), objects.len(), "object ids must be unique");
+        for o in &objects {
+            match &o.trajectory {
+                Trajectory::Static { dir, .. } => assert!(
+                    dir.normalized().is_ok(),
+                    "object {}: static trajectory needs non-zero dir",
+                    o.id
+                ),
+                Trajectory::Waypoints(points) => {
+                    assert!(!points.is_empty(), "object {}: waypoint trajectory is empty", o.id);
+                    assert!(
+                        points.iter().all(|(_, d)| d.normalized().is_ok()),
+                        "object {}: waypoint directions must be non-zero",
+                        o.id
+                    );
+                }
+                Trajectory::Orbit { .. } => {}
+            }
+        }
         Scene { name: name.into(), background, objects, duration }
     }
 
@@ -434,6 +455,50 @@ mod tests {
             vec![obj.clone(), obj],
             10.0,
         );
+    }
+
+    fn scene_with(trajectory: Trajectory) -> Scene {
+        Scene::new(
+            "bad",
+            Background { detail: 1.0, motion: 0.0, seed: 0 },
+            vec![SceneObject {
+                id: 3,
+                class: ObjectClass::Animal,
+                trajectory,
+                angular_radius: Radians(0.1),
+                seed: 0,
+            }],
+            10.0,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "object 3: static trajectory needs non-zero dir")]
+    fn zero_static_dir_panics_at_construction() {
+        let _ = scene_with(Trajectory::Static { dir: Vec3::new(0.0, 0.0, 0.0), wobble: 0.1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "object 3: waypoint trajectory is empty")]
+    fn empty_waypoints_panic_at_construction() {
+        let _ = scene_with(Trajectory::Waypoints(vec![]));
+    }
+
+    #[test]
+    #[should_panic(expected = "object 3: waypoint directions must be non-zero")]
+    fn zero_waypoint_panics_at_construction() {
+        let _ = scene_with(Trajectory::Waypoints(vec![
+            (0.0, Vec3::UP),
+            (5.0, Vec3::new(0.0, 0.0, 0.0)),
+        ]));
+    }
+
+    #[test]
+    fn valid_trajectories_construct() {
+        let s = scene_with(Trajectory::Waypoints(vec![(0.0, Vec3::UP), (5.0, Vec3::FORWARD)]));
+        assert_eq!(s.objects().len(), 1);
+        let s = scene_with(Trajectory::Static { dir: Vec3::new(0.0, 0.0, 2.0), wobble: 0.0 });
+        assert_eq!(s.object_positions(1.0)[0].1, Vec3::FORWARD);
     }
 
     #[test]
